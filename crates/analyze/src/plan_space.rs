@@ -8,7 +8,7 @@
 //!   `(48,256)`, `(24,256)`, `(16,256)`, `(8,128)` whatever the sizes;
 //! * a degenerate width cap (`w_cap < 8`, reachable in principle through
 //!   the recursion's `w_{h+1} < w_h` chain and directly via the public
-//!   `auto_tune_with_w_cap`) synthesizes `(w_cap, 128)` for
+//!   `auto_tune`) synthesizes `(w_cap, 128)` for
 //!   `w_cap ∈ 1..=7`.
 //!
 //! [`enumerate_autotuned`] computes this set as the closure of the cap
@@ -17,15 +17,15 @@
 //! **pinned** tier covers every `Tuning::Fixed` / `Tuning::Widths`
 //! configuration the experiments use (`w ∈ 1..=48`, `T ∈ {128, 256}`).
 //!
-//! [`sweep_reachability`] then drives the real `auto_tune_with_w_cap` over
+//! [`sweep_reachability`] then drives the W-cycle's own tuning path (the
+//! global [`PlanCache`] lookup of `auto_tune`) over
 //! every tab5/fig7/fig9/fig14 shape (both scales), all threshold regimes and
 //! every reachable cap, and proves each selected plan certified — the
 //! zero-false-rejection half of the acceptance criteria.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wsvd_batched::autotune::{auto_tune_with_w_cap, scored_candidates, V100_TLP_THRESHOLD};
-use wsvd_batched::models::TailorPlan;
+use wsvd_batched::autotune::{scored_candidates, PlanCache, V100_TLP_THRESHOLD};
 use wsvd_core::certify::{
     build_schedule_atlas, certify_claim, check_level_with, CertificateStore, CertifyError,
     DeviceCertificates, FamilyKey, PlanClaim, PlanOrigin,
@@ -217,7 +217,8 @@ pub fn sweep_reachability(store: &CertificateStore) -> Result<SweepReport, Strin
                             .map(|&(m, n)| (m, n.min(2 * (cap + 1))))
                             .collect()
                     };
-                    let plan: TailorPlan = auto_tune_with_w_cap(&level_sizes, threshold, cap);
+                    let (plan, _) =
+                        PlanCache::global().lookup_or_tune(&level_sizes, threshold, cap);
                     selected.insert((plan.w, plan.threads));
                     for device in &ALL_DEVICES {
                         check_level_with(store, device, &plan, &level_sizes, Ordering::RoundRobin)

@@ -12,13 +12,18 @@ use wsvd_batched::gemm::{batched_gram, batched_update, GemmStrategy};
 use wsvd_batched::models::TailorPlan;
 use wsvd_gpu_sim::{Gpu, KernelError};
 use wsvd_jacobi::batch::{batched_evd_sm, batched_svd_gm, batched_svd_sm};
+use wsvd_jacobi::block::{
+    extract_sorted, gather_pair, partition_cols, rotated_block, scatter_pair,
+};
 use wsvd_jacobi::evd::{EvdConfig, EvdVariant};
 use wsvd_jacobi::fits::svd_fits_in_sm;
 use wsvd_jacobi::onesided::OneSidedConfig;
 use wsvd_jacobi::Ordering;
-use wsvd_linalg::gemm::dot;
 use wsvd_linalg::verify::columns_converged;
 use wsvd_linalg::Matrix;
+
+/// Threads per block for the SM kernels and the untailored GEMMs.
+const KERNEL_THREADS: usize = 256;
 
 /// How pair-block rotations are generated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,8 +50,6 @@ pub struct BlockJacobiConfig {
     pub tol: f64,
     /// Sweep cap.
     pub max_sweeps: usize,
-    /// Threads per block for the SM kernels.
-    pub kernel_threads: usize,
     /// Two-sided Jacobi variant for the Gram route. Pre-W-cycle codes
     /// (ref. \[19\], vendor kernels) use the serialized textbook form.
     pub evd_variant: EvdVariant,
@@ -66,7 +69,6 @@ impl Default for BlockJacobiConfig {
             want_v: true,
             tol: 1e-12,
             max_sweeps: 40,
-            kernel_threads: 256,
             evd_variant: EvdVariant::Parallel,
             svd_threads_per_pair: 8,
             svd_cache_norms: true,
@@ -108,10 +110,10 @@ pub fn block_jacobi_svd(
 
     let strategy = if cfg.tailor {
         let m_star = tasks.iter().map(|t| t.rows()).max().unwrap_or(8);
-        GemmStrategy::Tailored(TailorPlan::new(cfg.w, m_star, cfg.kernel_threads))
+        GemmStrategy::Tailored(TailorPlan::new(cfg.w, m_star, KERNEL_THREADS))
     } else {
         GemmStrategy::OneBlockPerGemm {
-            threads: cfg.kernel_threads,
+            threads: KERNEL_THREADS,
         }
     };
 
@@ -148,7 +150,7 @@ pub fn block_jacobi_svd(
                 }
                 for &(bi, bj) in &sched[step] {
                     refs.push((t, parts[t][bi], parts[t][bj]));
-                    blocks.push(gather(&tasks[t], parts[t][bi], parts[t][bj]));
+                    blocks.push(gather_pair(&tasks[t], parts[t][bi], parts[t][bj]));
                 }
             }
             if blocks.is_empty() {
@@ -181,17 +183,17 @@ pub fn block_jacobi_svd(
                     };
                     if !sm_idx.is_empty() {
                         let sub: Vec<Matrix> = sm_idx.iter().map(|&i| blocks[i].clone()).collect();
-                        let (svds, _) = batched_svd_sm(gpu, &sub, &one_sided, cfg.kernel_threads)?;
+                        let (svds, _) = batched_svd_sm(gpu, &sub, &one_sided, KERNEL_THREADS)?;
                         for (&i, svd) in sm_idx.iter().zip(svds) {
-                            blocks[i] = rotated(&svd, blocks[i].shape());
+                            blocks[i] = rotated_block(&svd, blocks[i].shape());
                             js[i] = Some(svd.v);
                         }
                     }
                     if !gm_idx.is_empty() {
                         let sub: Vec<Matrix> = gm_idx.iter().map(|&i| blocks[i].clone()).collect();
-                        let (svds, _) = batched_svd_gm(gpu, &sub, &one_sided, cfg.kernel_threads)?;
+                        let (svds, _) = batched_svd_gm(gpu, &sub, &one_sided, KERNEL_THREADS)?;
                         for (&i, svd) in gm_idx.iter().zip(svds) {
-                            blocks[i] = rotated(&svd, blocks[i].shape());
+                            blocks[i] = rotated_block(&svd, blocks[i].shape());
                             js[i] = Some(svd.v);
                         }
                     }
@@ -204,7 +206,7 @@ pub fn block_jacobi_svd(
                         max_sweeps: 30,
                         variant: cfg.evd_variant,
                     };
-                    let (evds, _) = batched_evd_sm(gpu, &grams, &evd_cfg, cfg.kernel_threads)?;
+                    let (evds, _) = batched_evd_sm(gpu, &grams, &evd_cfg, KERNEL_THREADS)?;
                     let js: Vec<Matrix> = evds.into_iter().map(|e| e.j).collect();
                     batched_update(gpu, &mut blocks, &js, strategy)?;
                     js
@@ -215,9 +217,9 @@ pub fn block_jacobi_svd(
             let mut v_blocks = Vec::new();
             let mut v_meta = Vec::new();
             for ((&(t, bi, bj), block), j) in refs.iter().zip(&blocks).zip(&js) {
-                scatter(&mut tasks[t], bi, bj, block);
-                if vs[t].is_some() {
-                    v_blocks.push(gather(vs[t].as_ref().unwrap(), bi, bj));
+                scatter_pair(&mut tasks[t], bi, bj, block);
+                if let Some(v) = &vs[t] {
+                    v_blocks.push(gather_pair(v, bi, bj));
                     v_meta.push((t, bi, bj, j.clone()));
                 }
             }
@@ -225,7 +227,7 @@ pub fn block_jacobi_svd(
                 let v_js: Vec<Matrix> = v_meta.iter().map(|(_, _, _, j)| j.clone()).collect();
                 batched_update(gpu, &mut v_blocks, &v_js, strategy)?;
                 for ((t, bi, bj, _), vb) in v_meta.into_iter().zip(v_blocks) {
-                    scatter(vs[t].as_mut().unwrap(), bi, bj, &vb);
+                    scatter_pair(vs[t].as_mut().unwrap(), bi, bj, &vb);
                 }
             }
         }
@@ -245,7 +247,7 @@ pub fn block_jacobi_svd(
         .zip(vs)
         .zip(sweeps.iter().zip(&rotations))
         .map(|((conv, v), (&sweeps, &rotations))| {
-            let (u, sigma, v) = extract(conv, v);
+            let (u, sigma, v) = extract_sorted(conv, v.as_ref());
             BlockSvd {
                 u,
                 sigma,
@@ -271,81 +273,6 @@ pub fn rotations_per_sweep(n: usize, w: usize) -> u64 {
         blocks
     };
     (steps * (blocks / 2)) as u64
-}
-
-fn partition_cols(n: usize, w: usize) -> Vec<(usize, usize)> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    while start < n {
-        let width = w.min(n - start);
-        parts.push((start, width));
-        start += width;
-    }
-    parts
-}
-
-fn gather(m: &Matrix, (si, wi): (usize, usize), (sj, wj): (usize, usize)) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), wi + wj);
-    for c in 0..wi {
-        out.col_mut(c).copy_from_slice(m.col(si + c));
-    }
-    for c in 0..wj {
-        out.col_mut(wi + c).copy_from_slice(m.col(sj + c));
-    }
-    out
-}
-
-fn scatter(m: &mut Matrix, (si, wi): (usize, usize), (sj, wj): (usize, usize), block: &Matrix) {
-    for c in 0..wi {
-        m.col_mut(si + c).copy_from_slice(block.col(c));
-    }
-    for c in 0..wj {
-        m.col_mut(sj + c).copy_from_slice(block.col(wi + c));
-    }
-}
-
-fn rotated(svd: &wsvd_jacobi::JacobiSvd, shape: (usize, usize)) -> Matrix {
-    let (m, n) = shape;
-    let mut out = Matrix::zeros(m, n);
-    for (k, &s) in svd.sigma.iter().enumerate() {
-        let src = svd.u.col(k);
-        let dst = out.col_mut(k);
-        for i in 0..m {
-            dst[i] = s * src[i];
-        }
-    }
-    out
-}
-
-fn extract(conv: &Matrix, v: Option<Matrix>) -> (Matrix, Vec<f64>, Option<Matrix>) {
-    let (m, n) = conv.shape();
-    let norms: Vec<f64> = (0..n).map(|j| dot(conv.col(j), conv.col(j))).collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&x, &y| norms[y].total_cmp(&norms[x]));
-    let r = m.min(n);
-    let mut u = Matrix::zeros(m, r);
-    let mut sigma = Vec::with_capacity(r);
-    for (k, &j) in order.iter().take(r).enumerate() {
-        let s = norms[j].sqrt();
-        sigma.push(s);
-        if s > 0.0 {
-            let src = conv.col(j);
-            let dst = u.col_mut(k);
-            for i in 0..m {
-                dst[i] = src[i] / s;
-            }
-        } else if k < m {
-            u[(k, k)] = 1.0;
-        }
-    }
-    let v = v.map(|v| {
-        let mut out = Matrix::zeros(v.rows(), v.cols());
-        for (k, &j) in order.iter().enumerate() {
-            out.col_mut(k).copy_from_slice(v.col(j));
-        }
-        out
-    });
-    (u, sigma, v)
 }
 
 #[cfg(test)]

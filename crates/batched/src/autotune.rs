@@ -45,8 +45,10 @@ pub fn candidate_plans(m_star: usize) -> Vec<TailorPlan> {
 /// Plans at or below this width never force a deeper recursion level.
 pub const EVD_FALLBACK_W: usize = 24;
 
-/// The auto-tuning engine: picks the first candidate whose TLP objective
-/// exceeds `threshold`.
+/// The auto-tuning engine: picks the first candidate of width at most
+/// `w_cap` whose TLP objective exceeds `threshold`. The W-cycle caps `w`
+/// with the SM-fit bound `w_h <= 48` and level monotonicity
+/// `w_{h+1} < w_h`; `usize::MAX` leaves the table uncapped.
 ///
 /// When no candidate can reach the threshold (tiny batches / small
 /// matrices), TLP is not the binding constraint, so the secondary
@@ -58,9 +60,10 @@ pub const EVD_FALLBACK_W: usize = 24;
 ///
 /// `sizes` are the `(m_k, n_k)` dimensions of the matrices divided at this
 /// level; `m*` is their largest row count.
-pub fn auto_tune(sizes: &[(usize, usize)], threshold: f64) -> TailorPlan {
-    let scored = scored_candidates(sizes, usize::MAX);
-    scored[pick(&scored, threshold)].0
+///
+/// This is the uncached engine; [`PlanCache`] memoizes it.
+pub fn auto_tune(sizes: &[(usize, usize)], threshold: f64, w_cap: usize) -> TailorPlan {
+    select_plan(sizes, threshold, w_cap).0
 }
 
 /// Candidate plans at or under `w_cap`, each paired with its TLP objective
@@ -106,13 +109,6 @@ fn pick(scored: &[(TailorPlan, f64)], threshold: f64) -> usize {
         Some(b) if scored[b].1 > scored[at_boundary].1 => b,
         _ => at_boundary,
     }
-}
-
-/// Constrains an auto-tuned plan so its `w` does not exceed a cap (the
-/// W-cycle imposes the SM-fit bound `w_h <= 48` and level monotonicity
-/// `w_{h+1} < w_h`).
-pub fn auto_tune_with_w_cap(sizes: &[(usize, usize)], threshold: f64, w_cap: usize) -> TailorPlan {
-    auto_tune_with_w_cap_traced(sizes, threshold, w_cap, &TuneTelemetry::disabled())
 }
 
 /// The uncached candidate walk: scored table plus selection. `chosen` is
@@ -163,7 +159,7 @@ impl PlanKey {
 /// repeated shapes stop re-running the candidate sweep every level of every
 /// sweep. Because the engine is a pure function of `(size multiset,
 /// threshold, w_cap)`, a cached plan is always identical to a fresh
-/// [`auto_tune_with_w_cap`] — the cache changes nothing but host-side work,
+/// [`auto_tune`] — the cache changes nothing but host-side work,
 /// so sanitizer runs and baselines are bit-identical whether it is cold or
 /// warm.
 #[derive(Default)]
@@ -190,21 +186,11 @@ impl PlanCache {
     }
 
     /// Returns the memoized plan for this workload, running the candidate
-    /// walk on a miss.
+    /// walk on a miss, and whether the lookup hit the cache — the per-call
+    /// signal the metrics registry records as an *increment*, fixing the
+    /// process-cumulative semantics of [`PlanCache::stats`] for per-run
+    /// queries.
     pub fn lookup_or_tune(
-        &self,
-        sizes: &[(usize, usize)],
-        threshold: f64,
-        w_cap: usize,
-    ) -> TailorPlan {
-        self.lookup_or_tune_counted(sizes, threshold, w_cap).0
-    }
-
-    /// Like [`PlanCache::lookup_or_tune`], additionally reporting whether
-    /// the lookup hit the cache — the per-call signal the metrics registry
-    /// records as an *increment*, fixing the process-cumulative semantics of
-    /// [`PlanCache::stats`] for per-run queries.
-    pub fn lookup_or_tune_counted(
         &self,
         sizes: &[(usize, usize)],
         threshold: f64,
@@ -257,21 +243,15 @@ pub struct TuneTelemetry {
     pub now: f64,
 }
 
-impl TuneTelemetry {
-    /// Telemetry that records nothing (both sinks disabled).
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-}
-
-/// Like [`auto_tune_with_w_cap`], additionally emitting one `plan` instant
+/// The W-cycle's tuning entry point: the [`PlanCache::global`] lookup of
+/// [`auto_tune`], additionally emitting one `plan` instant
 /// on the telemetry's trace sink (track `autotune`, timestamp `now` in
 /// simulated seconds) carrying the chosen plan and the TLP scores of every
 /// candidate the engine rejected, plus `plan-cache` counter samples with the
 /// cumulative hit/miss counts of [`PlanCache::global`] — and, on the
 /// telemetry's metrics sink, per-call hit/miss counter increments and
-/// chosen-plan gauges keyed by level. Disabled sinks make this identical to
-/// the untraced call.
+/// chosen-plan gauges keyed by level. With both sinks disabled this is
+/// exactly the cached lookup.
 ///
 /// All paths consult the global plan cache; the traced path re-runs the
 /// scoring only to reconstruct the rejected-candidate table for the event,
@@ -282,7 +262,7 @@ pub fn auto_tune_with_w_cap_traced(
     w_cap: usize,
     telemetry: &TuneTelemetry,
 ) -> TailorPlan {
-    let (plan, hit) = PlanCache::global().lookup_or_tune_counted(sizes, threshold, w_cap);
+    let (plan, hit) = PlanCache::global().lookup_or_tune(sizes, threshold, w_cap);
     let TuneTelemetry {
         trace,
         metrics,
@@ -415,7 +395,7 @@ mod tests {
         // §IV-D3: 100 matrices of 256x256 with threshold 306,149 ends at the
         // fourth candidate (w=16, δ=128, T=256) with f1 = 409,600.
         let sizes = vec![(256usize, 256usize); 100];
-        let plan = auto_tune(&sizes, V100_TLP_THRESHOLD);
+        let plan = auto_tune(&sizes, V100_TLP_THRESHOLD, usize::MAX);
         assert_eq!(plan, TailorPlan::new(16, 128, 256));
     }
 
@@ -432,7 +412,7 @@ mod tests {
         // plan (w = 24) and the first strictly narrower candidate; for a
         // single 8x8 matrix the narrower plan's TLP advantage wins.
         let sizes = vec![(8, 8); 1];
-        let plan = auto_tune(&sizes, V100_TLP_THRESHOLD);
+        let plan = auto_tune(&sizes, V100_TLP_THRESHOLD, usize::MAX);
         assert!(plan.w < EVD_FALLBACK_W);
         assert_eq!(plan, candidate_plans(8)[3]);
         assert!(
@@ -447,7 +427,7 @@ mod tests {
         // and the w = 16 plan at the level-0 boundary beats the old w = 24
         // fallback by up to 57% — the walk must land on it.
         let sizes = vec![(64, 64); 10];
-        let plan = auto_tune(&sizes, V100_TLP_THRESHOLD);
+        let plan = auto_tune(&sizes, V100_TLP_THRESHOLD, usize::MAX);
         assert_eq!(plan.w, 16);
         assert_eq!(plan, candidate_plans(64)[3]); // (16, m/2 = 32, 256)
     }
@@ -455,14 +435,14 @@ mod tests {
     #[test]
     fn huge_workload_selects_first_plan() {
         let sizes = vec![(4096, 4096); 1000];
-        let plan = auto_tune(&sizes, V100_TLP_THRESHOLD);
+        let plan = auto_tune(&sizes, V100_TLP_THRESHOLD, usize::MAX);
         assert_eq!(plan, candidate_plans(4096)[0]);
     }
 
     #[test]
     fn w_cap_is_respected() {
         let sizes = vec![(64, 64); 4];
-        let plan = auto_tune_with_w_cap(&sizes, V100_TLP_THRESHOLD, 12);
+        let plan = auto_tune(&sizes, V100_TLP_THRESHOLD, 12);
         assert!(plan.w <= 12);
     }
 
@@ -481,7 +461,7 @@ mod tests {
             now: 0.25,
         };
         let traced = auto_tune_with_w_cap_traced(&sizes, V100_TLP_THRESHOLD, 48, &telemetry);
-        assert_eq!(traced, auto_tune_with_w_cap(&sizes, V100_TLP_THRESHOLD, 48));
+        assert_eq!(traced, auto_tune(&sizes, V100_TLP_THRESHOLD, 48));
 
         // The metrics registry saw exactly one lookup (hit or miss depending
         // on what other tests already warmed into the global cache) and the
@@ -532,12 +512,12 @@ mod tests {
     fn plan_cache_hits_after_first_lookup() {
         let cache = PlanCache::new();
         let sizes = vec![(96, 96); 20];
-        let (a, a_hit) = cache.lookup_or_tune_counted(&sizes, V100_TLP_THRESHOLD, 48);
-        let (b, b_hit) = cache.lookup_or_tune_counted(&sizes, V100_TLP_THRESHOLD, 48);
+        let (a, a_hit) = cache.lookup_or_tune(&sizes, V100_TLP_THRESHOLD, 48);
+        let (b, b_hit) = cache.lookup_or_tune(&sizes, V100_TLP_THRESHOLD, 48);
         assert_eq!(a, b);
         assert!(!a_hit, "first lookup must miss");
         assert!(b_hit, "second lookup must hit");
-        assert_eq!(a, auto_tune_with_w_cap(&sizes, V100_TLP_THRESHOLD, 48));
+        assert_eq!(a, auto_tune(&sizes, V100_TLP_THRESHOLD, 48));
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(cache.len(), 1);
     }
@@ -550,8 +530,8 @@ mod tests {
         let sizes = vec![(64, 48), (96, 96), (64, 64), (96, 32)];
         let mut permuted = sizes.clone();
         permuted.reverse();
-        let a = cache.lookup_or_tune(&sizes, V100_TLP_THRESHOLD, 48);
-        let b = cache.lookup_or_tune(&permuted, V100_TLP_THRESHOLD, 48);
+        let a = cache.lookup_or_tune(&sizes, V100_TLP_THRESHOLD, 48).0;
+        let b = cache.lookup_or_tune(&permuted, V100_TLP_THRESHOLD, 48).0;
         assert_eq!(a, b);
         assert_eq!(cache.stats(), (1, 1), "permutation must hit the cache");
     }
@@ -560,11 +540,11 @@ mod tests {
     fn plan_cache_distinguishes_w_cap_and_threshold() {
         let cache = PlanCache::new();
         let sizes = vec![(64, 64); 10];
-        let unconstrained = cache.lookup_or_tune(&sizes, V100_TLP_THRESHOLD, 48);
-        let capped = cache.lookup_or_tune(&sizes, V100_TLP_THRESHOLD, 8);
+        let unconstrained = cache.lookup_or_tune(&sizes, V100_TLP_THRESHOLD, 48).0;
+        let capped = cache.lookup_or_tune(&sizes, V100_TLP_THRESHOLD, 8).0;
         assert!(capped.w <= 8);
         assert!(unconstrained.w > 8);
-        let low_threshold = cache.lookup_or_tune(&sizes, 1.0, 48);
+        let low_threshold = cache.lookup_or_tune(&sizes, 1.0, 48).0;
         assert_ne!(low_threshold, unconstrained);
         assert_eq!(cache.stats(), (0, 3));
     }

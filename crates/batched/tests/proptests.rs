@@ -70,7 +70,7 @@ proptest! {
         m in 8usize..2048, n in 8usize..2048, batch in 1usize..500, thr in 0.0f64..1e7
     ) {
         let sizes = vec![(m, n); batch];
-        let plan = auto_tune(&sizes, thr);
+        let plan = auto_tune(&sizes, thr, usize::MAX);
         prop_assert!(candidate_plans(m).contains(&plan), "plan {plan:?} not in the table");
     }
 
@@ -102,12 +102,12 @@ proptest! {
         // A cache hit, a cold miss, and a permuted-key hit must all agree
         // with the uncached engine (the cache is pure memoization).
         let cache = wsvd_batched::PlanCache::new();
-        let fresh = auto_tune(&sizes, thr);
-        let miss = cache.lookup_or_tune(&sizes, thr, 48);
-        let hit = cache.lookup_or_tune(&sizes, thr, 48);
+        let fresh = auto_tune(&sizes, thr, 48);
+        let (miss, _) = cache.lookup_or_tune(&sizes, thr, 48);
+        let (hit, _) = cache.lookup_or_tune(&sizes, thr, 48);
         let mut permuted = sizes.clone();
         permuted.reverse();
-        let permuted_hit = cache.lookup_or_tune(&permuted, thr, 48);
+        let (permuted_hit, _) = cache.lookup_or_tune(&permuted, thr, 48);
         prop_assert_eq!(miss, fresh);
         prop_assert_eq!(hit, fresh);
         // Multiset key must be order-insensitive.
@@ -121,8 +121,8 @@ proptest! {
     ) {
         let w_cap = [8usize, 16, 24, 48][cap_idx];
         let cache = wsvd_batched::PlanCache::new();
-        let plan = cache.lookup_or_tune(&sizes, thr, w_cap);
-        prop_assert_eq!(plan, wsvd_batched::auto_tune_with_w_cap(&sizes, thr, w_cap));
+        let (plan, _) = cache.lookup_or_tune(&sizes, thr, w_cap);
+        prop_assert_eq!(plan, auto_tune(&sizes, thr, w_cap));
         prop_assert!(plan.w <= w_cap);
     }
 
@@ -134,6 +134,9 @@ proptest! {
         let mut shuffled = sizes.clone();
         shuffled.reverse();
         shuffled.rotate_left(sizes.len() / 2);
-        prop_assert_eq!(auto_tune(&sizes, thr), auto_tune(&shuffled, thr));
+        prop_assert_eq!(
+            auto_tune(&sizes, thr, usize::MAX),
+            auto_tune(&shuffled, thr, usize::MAX)
+        );
     }
 }

@@ -52,7 +52,7 @@ use crate::verify::effective_width;
 /// How a plan family entered the certified set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanOrigin {
-    /// Reachable by `auto_tune_with_w_cap` from the top-level cap.
+    /// Reachable by `auto_tune` from the top-level cap.
     Autotuned,
     /// Pinned by configuration (`Tuning::Fixed` / `Tuning::Widths`).
     Pinned,

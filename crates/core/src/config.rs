@@ -62,20 +62,16 @@ pub struct WCycleConfig {
     /// Pair ordering for block-level rotations.
     pub ordering: Ordering,
     /// QR-precondition very tall inputs (refs. \[5\]/\[42\] of the paper):
-    /// when `m >= qr_aspect_threshold * n`, factor `A = Q R` first, run the
-    /// Jacobi workflow on the square `R`, and recover `U = Q U_R`. Cuts the
-    /// per-rotation column length from `m` to `n`.
+    /// when `m >= 3n`, factor `A = Q R` first, run the Jacobi workflow on
+    /// the square `R`, and recover `U = Q U_R`. Cuts the per-rotation column
+    /// length from `m` to `n`.
     pub qr_precondition: bool,
-    /// Aspect ratio `m / n` above which the QR preconditioner engages.
-    pub qr_aspect_threshold: usize,
     /// Use *dynamic ordering* (Bečka–Okša–Vajteršic, the paper's ref. \[12\]):
     /// each sweep schedules block pairs by descending off-diagonal weight
     /// `||A_i^T A_j||_F / (||A_i||_F ||A_j||_F)` instead of the static
     /// schedule, attacking the heaviest couplings first. Overrides
     /// `ordering` at the block level.
     pub dynamic_ordering: bool,
-    /// Threads per block for the SM SVD/EVD kernels.
-    pub kernel_threads: usize,
     /// Record each level's launches into a fused
     /// [`wsvd_gpu_sim::LaunchGraph`]: the level pays the driver's launch
     /// overhead once per graph plus a small per-node cost instead of the
@@ -133,9 +129,7 @@ impl Default for WCycleConfig {
             want_v: true,
             ordering: Ordering::RoundRobin,
             qr_precondition: false,
-            qr_aspect_threshold: 3,
             dynamic_ordering: false,
-            kernel_threads: 256,
             fused: fused_default(),
             inner_tol_override: None,
             record_convergence: false,

@@ -21,16 +21,20 @@ use wsvd_batched::gemm::{batched_gram, batched_update, GemmStrategy};
 use wsvd_batched::models::TailorPlan;
 use wsvd_gpu_sim::{Gpu, KernelConfig, KernelError};
 use wsvd_jacobi::batch::{batched_evd_sm, batched_svd_sm};
+use wsvd_jacobi::block::{
+    extract_sorted, gather_pair, partition_cols, rotated_block, scatter_pair,
+};
 use wsvd_jacobi::evd::EvdConfig;
 use wsvd_jacobi::fits::{evd_fits_in_sm, svd_fits_in_sm};
 use wsvd_jacobi::onesided::{JacobiSvd, OneSidedConfig};
 use wsvd_linalg::gemm::{dot, matmul};
 use wsvd_linalg::verify::{columns_converged, max_column_coherence, orthonormality_error};
 use wsvd_linalg::Matrix;
+use wsvd_metrics::MetricsSink;
 
 use crate::certify::CertifyMode;
 use crate::config::{AlphaSelect, Tuning, WCycleConfig};
-use crate::stats::WCycleStats;
+use crate::stats::{SweepRecord, WCycleStats};
 use crate::verify::{effective_width, verify_level};
 use wsvd_jacobi::verify::{verify_schedule, Coverage};
 
@@ -38,6 +42,12 @@ use wsvd_jacobi::verify::{verify_schedule, Coverage};
 /// Powers of two up to the practical sweep ceiling keep snapshots comparable
 /// across experiments.
 const SWEEP_BUCKETS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
+
+/// Threads per block for the SM SVD/EVD kernels and the extraction kernel.
+const KERNEL_THREADS: usize = 256;
+
+/// Aspect ratio `m / n` at or above which `qr_precondition` engages.
+const QR_ASPECT_THRESHOLD: usize = 3;
 
 /// The SVD of one input matrix as produced by the W-cycle.
 #[derive(Debug)]
@@ -62,6 +72,11 @@ pub struct WCycleOutput {
     pub stats: WCycleStats,
 }
 
+/// One input as the workflow decomposes it: the tall (or square) working
+/// matrix, whether it is the transpose of a wide input, and the `Q` factor
+/// when it is the `R` of a QR-preconditioned input.
+type Prepared = (Matrix, bool, Option<Matrix>);
+
 /// Runs the W-cycle SVD over a batch of matrices of arbitrary (mixed) sizes.
 pub fn wcycle_svd(
     gpu: &Gpu,
@@ -78,8 +93,7 @@ pub fn wcycle_svd(
     let smem = gpu.device().smem_per_block_bytes;
     let trace = gpu.trace().clone();
     let traced = trace.is_enabled();
-    let health = gpu.health().clone();
-    let watched = health.is_enabled();
+    let observed = traced || gpu.health().is_enabled() || cfg.record_convergence;
     let mut stats = WCycleStats {
         sweeps_per_matrix: vec![0; mats.len()],
         ..Default::default()
@@ -89,7 +103,7 @@ pub fn wcycle_svd(
     // sweep, and the factors swap back at the end. Very tall inputs are
     // optionally QR-preconditioned (refs. [5]/[42]): the Jacobi workflow
     // then runs on the square R factor and U is recovered as Q U_R.
-    let mut prepared: Vec<(Matrix, bool, Option<Matrix>)> = mats
+    let mut prepared: Vec<Prepared> = mats
         .iter()
         .map(|a| {
             if a.rows() < a.cols() {
@@ -105,7 +119,7 @@ pub fn wcycle_svd(
             .iter()
             .enumerate()
             .filter(|(_, (tall, _, _))| {
-                tall.cols() >= 2 && tall.rows() >= cfg.qr_aspect_threshold.max(2) * tall.cols()
+                tall.cols() >= 2 && tall.rows() >= QR_ASPECT_THRESHOLD * tall.cols()
             })
             .map(|(k, _)| k)
             .collect();
@@ -151,67 +165,28 @@ pub fn wcycle_svd(
             cache_norms: cfg.cache_norms,
             accumulate_v: true,
             ordering: cfg.ordering,
-            record_coherence: traced || watched || cfg.record_convergence,
             ..Default::default()
         };
         let t_pre = gpu.elapsed_seconds();
-        let (mut svds, _) = batched_svd_sm(gpu, &group, &one_sided, cfg.kernel_threads)?;
-        if traced {
-            trace_level0_sweeps(gpu, &trace, &svds, t_pre, gpu.elapsed_seconds());
-        }
-        if watched {
-            health_level0_sweeps(&health, &svds, t_pre, gpu.elapsed_seconds());
-        }
-        if cfg.record_convergence {
-            record_level0_convergence(&mut stats, &svds);
+        let (svds, _) = batched_svd_sm(gpu, &group, &one_sided, KERNEL_THREADS)?;
+        let t_post = gpu.elapsed_seconds();
+        if observed {
+            observe_level0_sweeps(gpu, cfg, &mut stats, &svds, t_pre, t_post);
         }
         stats.level0_sm_svds = svds.len();
-        // Level-0 registry metrics mirror the per-level hook in
-        // `decompose_level`: whole-in-SM decompositions are "level 0".
-        let metrics = gpu.metrics();
-        if metrics.is_enabled() {
-            metrics.counter_add(
-                "wcycle",
-                Some(0),
-                "level_seconds",
-                gpu.elapsed_seconds() - t_pre,
-            );
-            metrics.counter_add("wcycle", Some(0), "tasks", svds.len() as f64);
-            metrics.counter_add(
-                "wcycle",
-                Some(0),
-                "sweeps",
-                svds.iter().map(|o| o.stats.sweeps).max().unwrap_or(0) as f64,
-            );
-            for o in &svds {
-                metrics.observe(
-                    "wcycle",
-                    Some(0),
-                    "sweeps_to_converge",
-                    &SWEEP_BUCKETS,
-                    o.stats.sweeps as f64,
-                );
-            }
-        }
-        let recover: Vec<(usize, Matrix, Matrix)> = fit_idx
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, &k)| {
-                prepared[k]
-                    .2
-                    .as_ref()
-                    .map(|q| (pos, q.clone(), svds[pos].u.clone()))
+        // Whole-in-SM decompositions are "level 0" in the registry.
+        let kernel_sweeps: Vec<usize> = svds.iter().map(|o| o.stats.sweeps).collect();
+        record_level_metrics(gpu.metrics(), 0, t_post - t_pre, &kernel_sweeps);
+        let found = svds
+            .into_iter()
+            .map(|svd| WSvd {
+                u: svd.u,
+                sigma: svd.sigma,
+                v: Some(svd.v),
+                sweeps: svd.stats.sweeps,
             })
             .collect();
-        if !recover.is_empty() {
-            let products = batched_counted_recover(gpu, &recover)?;
-            for ((pos, _, _), u) in recover.iter().zip(products) {
-                svds[*pos].u = u;
-            }
-        }
-        for (&k, svd) in fit_idx.iter().zip(svds) {
-            slots[k] = Some(finish_one(svd, prepared[k].1, cfg.want_v));
-        }
+        finish_group(gpu, &prepared, &fit_idx, found, cfg.want_v, &mut slots)?;
     }
 
     if !rest_idx.is_empty() {
@@ -224,67 +199,27 @@ pub fn wcycle_svd(
             .collect();
         let outcomes = decompose_level(gpu, &mut tasks, &need_v, 1, 48, cfg, &mut stats)?;
 
-        // Final extraction kernel: U = normalize(columns), Σ = column norms.
-        let kc = KernelConfig::new(tasks.len(), cfg.kernel_threads, 0, "wcycle_extract");
-        let extracted = {
-            let tasks_ref = &tasks;
-            gpu.launch_collect(kc, |b, ctx| {
-                let t = &tasks_ref[b];
-                ctx.count_gm_load(t.len());
-                ctx.par_step(t.len(), 2);
-                ctx.count_gm_store(t.len());
-                Ok(extract_u_sigma(t))
-            })?
-            .0
-        };
-        let mut extracted = extracted;
-        let recover: Vec<(usize, Matrix, Matrix)> = rest_idx
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, &k)| {
-                prepared[k]
-                    .2
-                    .as_ref()
-                    .map(|q| (pos, q.clone(), extracted[pos].0.clone()))
-            })
-            .collect();
-        if !recover.is_empty() {
-            let products = batched_counted_recover(gpu, &recover)?;
-            for ((pos, _, _), u) in recover.iter().zip(products) {
-                extracted[*pos].0 = u;
-            }
+        // Final extraction kernel: U = normalize(columns), Σ = column norms,
+        // V permuted to match.
+        let kc = KernelConfig::new(tasks.len(), KERNEL_THREADS, 0, "wcycle_extract");
+        let (extracted, _) = gpu.launch_collect(kc, |b, ctx| {
+            let t = &tasks[b];
+            ctx.count_gm_load(t.len());
+            ctx.par_step(t.len(), 2);
+            ctx.count_gm_store(t.len());
+            Ok(extract_sorted(t, outcomes[b].v.as_ref()))
+        })?;
+        let mut found = Vec::with_capacity(rest_idx.len());
+        for ((&k, (u, sigma, v)), outcome) in rest_idx.iter().zip(extracted).zip(&outcomes) {
+            stats.sweeps_per_matrix[k] = outcome.sweeps;
+            found.push(WSvd {
+                u,
+                sigma,
+                v,
+                sweeps: outcome.sweeps,
+            });
         }
-        for (slot, ((&k, (u, sigma)), outcome)) in
-            rest_idx.iter().zip(extracted).zip(outcomes).enumerate()
-        {
-            let transposed = prepared[k].1;
-            let mut v = outcome
-                .v
-                .map(|v| permute_cols(&v, &sigma_order(&tasks[slot])));
-            // `u`/`sigma` are already sorted by `extract_u_sigma`.
-            let sweeps = outcome.sweeps;
-            stats.sweeps_per_matrix[k] = sweeps;
-            let result = if transposed {
-                // A = V_t Σ U_t^T: swap the factors.
-                let v_t = v.take().expect("wide inputs always accumulate V");
-                let r = sigma.len();
-                let v_out = if cfg.want_v { Some(u) } else { None };
-                WSvd {
-                    u: thin(&v_t, r),
-                    sigma,
-                    v: v_out,
-                    sweeps,
-                }
-            } else {
-                WSvd {
-                    u,
-                    sigma,
-                    v: if cfg.want_v { v } else { None },
-                    sweeps,
-                }
-            };
-            slots[k] = Some(result);
-        }
+        finish_group(gpu, &prepared, &rest_idx, found, cfg.want_v, &mut slots)?;
     }
 
     let results: Vec<WSvd> = slots
@@ -295,38 +230,140 @@ pub fn wcycle_svd(
     // `max_sweeps`, converged or not — the accuracy experiments use it to
     // chart error vs sweep count), so the convergence contract the drift
     // monitors enforce is waived there.
-    if watched && cfg.tol > 0.0 {
-        health_batch_checks(&health, gpu.elapsed_seconds(), mats, &results);
+    let health = gpu.health();
+    if health.is_enabled() && cfg.tol > 0.0 {
+        health_batch_checks(health, gpu.elapsed_seconds(), mats, &results);
     }
     Ok(WCycleOutput { results, stats })
 }
 
-/// Mirrors [`trace_level0_sweeps`] into the health watchdogs: one
-/// [`sweep_sample`](wsvd_health::HealthSink::sweep_sample) per Level-0 sweep
-/// from the SM kernels' recorded coherence histories.
-// wsvd-lint: allow(sink-guard) — caller gates on `watched = health.is_enabled()`.
-fn health_level0_sweeps(
-    health: &wsvd_health::HealthSink,
+/// Brings one group of results from the decomposed frame to the output
+/// form; `found[pos]` belongs to input `idx[pos]`. QR-preconditioned inputs
+/// recover `U = Q U_R` in one batched launch, and wide inputs swap their
+/// factors back: `A^T = U_t Σ V_t^T` gives `A = V_t Σ U_t^T`.
+fn finish_group(
+    gpu: &Gpu,
+    prepared: &[Prepared],
+    idx: &[usize],
+    mut found: Vec<WSvd>,
+    want_v: bool,
+    slots: &mut [Option<WSvd>],
+) -> Result<(), KernelError> {
+    let recover: Vec<(usize, Matrix, Matrix)> = idx
+        .iter()
+        .enumerate()
+        .filter_map(|(pos, &k)| {
+            prepared[k]
+                .2
+                .as_ref()
+                .map(|q| (pos, q.clone(), found[pos].u.clone()))
+        })
+        .collect();
+    if !recover.is_empty() {
+        let products = batched_counted_recover(gpu, &recover)?;
+        for ((pos, _, _), u) in recover.iter().zip(products) {
+            found[*pos].u = u;
+        }
+    }
+    for (&k, svd) in idx.iter().zip(found) {
+        let result = if prepared[k].1 {
+            let v_t = svd.v.expect("wide inputs always accumulate V");
+            WSvd {
+                u: thin(&v_t, svd.sigma.len()),
+                v: want_v.then_some(svd.u),
+                ..svd
+            }
+        } else {
+            WSvd {
+                v: svd.v.filter(|_| want_v),
+                ..svd
+            }
+        };
+        slots[k] = Some(result);
+    }
+    Ok(())
+}
+
+/// Per-sweep trace arguments that differ between the Level-0 kernel batch
+/// and a block level.
+enum SweepDetail {
+    /// Level 0: sweeps inside the batched SM kernel over `matrices` inputs.
+    Kernel { matrices: usize },
+    /// Level ≥ 1: the sweep's block rotations and how many pair blocks fell
+    /// into each of Algorithm 2's three groups.
+    Blocks {
+        rotations: u64,
+        ga: u64,
+        gb: u64,
+        gc: u64,
+    },
+}
+
+/// Sends one sweep's convergence sample to every observer: the trace (a
+/// `wcycle`/`sweep` instant at `ts`), the health watchdogs and, under
+/// `record_convergence`, [`WCycleStats::convergence`].
+fn observe_sweep(
+    gpu: &Gpu,
+    cfg: &WCycleConfig,
+    stats: &mut WCycleStats,
+    rec: SweepRecord,
+    ts: f64,
+    detail: SweepDetail,
+) {
+    let trace = gpu.trace();
+    if trace.is_enabled() {
+        let mut args = vec![("level", rec.level.into()), ("sweep", rec.sweep.into())];
+        if let SweepDetail::Blocks {
+            rotations,
+            ga,
+            gb,
+            gc,
+        } = detail
+        {
+            args.extend([
+                ("rotations", rotations.into()),
+                ("ga_sm_svd", ga.into()),
+                ("gb_gram_evd", gb.into()),
+                ("gc_recursed", gc.into()),
+            ]);
+        }
+        args.extend([
+            ("coherence", rec.off_norm.into()),
+            ("active", rec.active.into()),
+        ]);
+        if let SweepDetail::Kernel { matrices } = detail {
+            args.push(("matrices", matrices.into()));
+        }
+        trace.instant(gpu.trace_pid(), "wcycle", "sweep", ts, args);
+    }
+    let health = gpu.health();
+    if health.is_enabled() {
+        health.sweep_sample(
+            rec.level as usize,
+            rec.sweep as usize,
+            rec.off_norm,
+            rec.active as usize,
+            ts,
+        );
+    }
+    if cfg.record_convergence {
+        stats.convergence.push(rec);
+    }
+}
+
+/// Observes a Level-0 batched SM SVD launch sweep by sweep, merging the
+/// kernels' per-matrix coherence histories: sweep `s` reports the largest
+/// coherence any matrix saw in it and how many matrices still sweep after
+/// it. The launch spans `[t_pre, t_post]` in simulated time; sweep `s` of
+/// `S` is placed at the matching fraction of that interval.
+fn observe_level0_sweeps(
+    gpu: &Gpu,
+    cfg: &WCycleConfig,
+    stats: &mut WCycleStats,
     svds: &[JacobiSvd],
     t_pre: f64,
     t_post: f64,
 ) {
-    let s_max = svds.iter().map(|o| o.stats.sweeps).max().unwrap_or(0);
-    for s in 0..s_max {
-        let coherence = svds
-            .iter()
-            .filter_map(|o| o.coherence_per_sweep.get(s))
-            .fold(0.0f64, |acc, &c| acc.max(c));
-        let active = svds.iter().filter(|o| o.stats.sweeps > s + 1).count();
-        let ts = t_pre + (t_post - t_pre) * (s + 1) as f64 / s_max as f64;
-        health.sweep_sample(0, s + 1, coherence, active, ts);
-    }
-}
-
-/// Mirrors [`health_level0_sweeps`] into [`WCycleStats::convergence`]: the
-/// same per-sweep aggregation of the SM kernels' coherence histories, but
-/// surfaced as data for the cluster checkpoint instead of fed to a sink.
-fn record_level0_convergence(stats: &mut WCycleStats, svds: &[JacobiSvd]) {
     let s_max = svds.iter().map(|o| o.stats.sweeps).max().unwrap_or(0);
     for s in 0..s_max {
         let off_norm = svds
@@ -334,12 +371,44 @@ fn record_level0_convergence(stats: &mut WCycleStats, svds: &[JacobiSvd]) {
             .filter_map(|o| o.coherence_per_sweep.get(s))
             .fold(0.0f64, |acc, &c| acc.max(c));
         let active = svds.iter().filter(|o| o.stats.sweeps > s + 1).count();
-        stats.convergence.push(crate::SweepRecord {
+        let rec = SweepRecord {
             level: 0,
             sweep: (s + 1) as u64,
             off_norm,
             active: active as u64,
-        });
+        };
+        let ts = t_pre + (t_post - t_pre) * (s + 1) as f64 / s_max as f64;
+        let detail = SweepDetail::Kernel {
+            matrices: svds.len(),
+        };
+        observe_sweep(gpu, cfg, stats, rec, ts, detail);
+    }
+}
+
+/// Per-level registry metrics, keyed by W-cycle level (0 = whole-in-SM):
+/// simulated seconds spent, tasks, the most sweeps any task used, and each
+/// task's sweeps-to-converge. All values are already computed by the
+/// algorithm, so with the sink disabled nothing here runs.
+fn record_level_metrics(metrics: &MetricsSink, level: usize, seconds: f64, sweeps: &[usize]) {
+    if !metrics.is_enabled() {
+        return;
+    }
+    metrics.counter_add("wcycle", Some(level), "level_seconds", seconds);
+    metrics.counter_add("wcycle", Some(level), "tasks", sweeps.len() as f64);
+    metrics.counter_add(
+        "wcycle",
+        Some(level),
+        "sweeps",
+        sweeps.iter().copied().max().unwrap_or(0) as f64,
+    );
+    for &s in sweeps {
+        metrics.observe(
+            "wcycle",
+            Some(level),
+            "sweeps_to_converge",
+            &SWEEP_BUCKETS,
+            s as f64,
+        );
     }
 }
 
@@ -354,7 +423,7 @@ fn record_level0_convergence(stats: &mut WCycleStats, svds: &[JacobiSvd]) {
 /// converging runs (`tol > 0`): a truncated run is unconverged by design
 /// and its factors make no orthogonality promise. Host-side and
 /// health-gated: never charged to the cost model.
-// wsvd-lint: allow(sink-guard) — caller gates on `watched = health.is_enabled()`.
+// wsvd-lint: allow(sink-guard) — caller gates on `health.is_enabled()`.
 fn health_batch_checks(
     health: &wsvd_health::HealthSink,
     t_sim: f64,
@@ -422,42 +491,6 @@ fn trace_alpha_plan(
     );
 }
 
-/// Emits per-sweep convergence instants for a Level-0 batched SM SVD launch
-/// from the kernels' recorded coherence histories. The launch spans
-/// `[t_pre, t_post]` in simulated time; sweep `s` of `S` is placed at the
-/// matching fraction of that interval.
-// wsvd-lint: allow(sink-guard) — caller gates on `traced = trace.is_enabled()`.
-fn trace_level0_sweeps(
-    gpu: &Gpu,
-    trace: &wsvd_trace::TraceSink,
-    svds: &[JacobiSvd],
-    t_pre: f64,
-    t_post: f64,
-) {
-    let s_max = svds.iter().map(|o| o.stats.sweeps).max().unwrap_or(0);
-    for s in 0..s_max {
-        let coherence = svds
-            .iter()
-            .filter_map(|o| o.coherence_per_sweep.get(s))
-            .fold(0.0f64, |acc, &c| acc.max(c));
-        let active = svds.iter().filter(|o| o.stats.sweeps > s + 1).count();
-        let ts = t_pre + (t_post - t_pre) * (s + 1) as f64 / s_max as f64;
-        trace.instant(
-            gpu.trace_pid(),
-            "wcycle",
-            "sweep",
-            ts,
-            vec![
-                ("level", 0usize.into()),
-                ("sweep", (s + 1).into()),
-                ("coherence", coherence.into()),
-                ("active", active.into()),
-                ("matrices", svds.len().into()),
-            ],
-        );
-    }
-}
-
 /// Outcome of decomposing one task at a level: the matrix itself has been
 /// orthogonalized in place (columns = `UΣ`, unsorted).
 struct LevelOutcome {
@@ -465,14 +498,13 @@ struct LevelOutcome {
     sweeps: usize,
 }
 
-/// One pair block gathered for rotation.
+/// One pair block gathered for rotation: column blocks `bi` and `bj` of
+/// task `task`.
 #[derive(Clone, Copy)]
 struct PairRef {
     task: usize,
-    i_start: usize,
-    i_width: usize,
-    j_start: usize,
-    j_width: usize,
+    bi: (usize, usize),
+    bj: (usize, usize),
 }
 
 /// Orthogonalizes every task's columns via block rotations at `level`,
@@ -506,6 +538,7 @@ fn decompose_level(
     let traced = trace.is_enabled();
     let health = gpu.health().clone();
     let watched = health.is_enabled();
+    let observed = traced || watched || cfg.record_convergence;
     let level_t0 = gpu.elapsed_seconds();
     if watched {
         health.plan_selected(level, plan.w, plan.delta, plan.threads, level_t0);
@@ -642,17 +675,10 @@ fn decompose_level(
                 if !active[t] || step >= sched.len() {
                     continue;
                 }
-                for &(bi, bj) in &sched[step] {
-                    let (i_start, i_width) = parts[t][bi];
-                    let (j_start, j_width) = parts[t][bj];
-                    refs.push(PairRef {
-                        task: t,
-                        i_start,
-                        i_width,
-                        j_start,
-                        j_width,
-                    });
-                    blocks.push(gather_pair(&tasks[t], i_start, i_width, j_start, j_width));
+                for &(i, j) in &sched[step] {
+                    let (bi, bj) = (parts[t][i], parts[t][j]);
+                    refs.push(PairRef { task: t, bi, bj });
+                    blocks.push(gather_pair(&tasks[t], bi, bj));
                 }
             }
             if blocks.is_empty() {
@@ -694,7 +720,7 @@ fn decompose_level(
                     ordering: cfg.ordering,
                     ..Default::default()
                 };
-                let (svds, _) = batched_svd_sm(gpu, &sub, &one_sided, cfg.kernel_threads)?;
+                let (svds, _) = batched_svd_sm(gpu, &sub, &one_sided, KERNEL_THREADS)?;
                 stats.sm_svd_blocks += ga.len() as u64;
                 for (&i, svd) in ga.iter().zip(svds) {
                     blocks[i] = rotated_block(&svd, blocks[i].shape());
@@ -712,7 +738,7 @@ fn decompose_level(
                     max_sweeps: 30,
                     ..Default::default()
                 };
-                let (evds, _) = batched_evd_sm(gpu, &grams, &evd_cfg, cfg.kernel_threads)?;
+                let (evds, _) = batched_evd_sm(gpu, &grams, &evd_cfg, KERNEL_THREADS)?;
                 stats.sm_evd_blocks += gb.len() as u64;
                 for (&i, evd) in gb.iter().zip(evds) {
                     rotations[i] = Some(evd.j);
@@ -751,7 +777,7 @@ fn decompose_level(
             }
             for (k, r) in refs.iter().enumerate() {
                 if let Some(v) = vs[r.task].as_ref() {
-                    upd_mats.push(gather_pair(v, r.i_start, r.i_width, r.j_start, r.j_width));
+                    upd_mats.push(gather_pair(v, r.bi, r.bj));
                     upd_js.push(
                         rotations[k]
                             .as_ref()
@@ -769,14 +795,14 @@ fn decompose_level(
                         _ => {
                             let r = refs[idx];
                             let v = vs[r.task].as_mut().unwrap();
-                            scatter_pair(v, &r, &updated);
+                            scatter_pair(v, r.bi, r.bj, &updated);
                         }
                     }
                 }
             }
             // Scatter every rotated pair block back into its task.
             for (r, block) in refs.iter().zip(&blocks) {
-                scatter_pair(&mut tasks[r.task], r, block);
+                scatter_pair(&mut tasks[r.task], r.bi, r.bj, block);
             }
         }
 
@@ -787,7 +813,7 @@ fn decompose_level(
         for t in 0..tasks.len() {
             if active[t] {
                 sweeps[t] += 1;
-                if traced || watched || cfg.record_convergence {
+                if observed {
                     coherence = coherence.max(max_column_coherence(&tasks[t]));
                 }
                 if columns_converged(&tasks[t], cfg.tol) {
@@ -795,41 +821,20 @@ fn decompose_level(
                 }
             }
         }
-        let still_active = active.iter().filter(|&&a| a).count();
-        if traced {
-            trace.instant(
-                gpu.trace_pid(),
-                "wcycle",
-                "sweep",
-                gpu.elapsed_seconds(),
-                vec![
-                    ("level", level.into()),
-                    ("sweep", (round + 1).into()),
-                    ("rotations", sweep_rotations.into()),
-                    ("ga_sm_svd", sweep_ga.into()),
-                    ("gb_gram_evd", sweep_gb.into()),
-                    ("gc_recursed", sweep_gc.into()),
-                    ("coherence", coherence.into()),
-                    ("active", still_active.into()),
-                ],
-            );
-        }
-        if watched {
-            health.sweep_sample(
-                level,
-                round + 1,
-                coherence,
-                still_active,
-                gpu.elapsed_seconds(),
-            );
-        }
-        if cfg.record_convergence {
-            stats.convergence.push(crate::SweepRecord {
+        if observed {
+            let rec = SweepRecord {
                 level: level as u64,
                 sweep: (round + 1) as u64,
                 off_norm: coherence,
-                active: still_active as u64,
-            });
+                active: active.iter().filter(|&&a| a).count() as u64,
+            };
+            let detail = SweepDetail::Blocks {
+                rotations: sweep_rotations,
+                ga: sweep_ga,
+                gb: sweep_gb,
+                gc: sweep_gc,
+            };
+            observe_sweep(gpu, cfg, stats, rec, gpu.elapsed_seconds(), detail);
         }
     }
 
@@ -855,29 +860,10 @@ fn decompose_level(
     }
 
     // Per-level registry metrics: time share, convergence behaviour and the
-    // chosen plan, keyed by W-cycle level. All values are already computed
-    // by the algorithm (or are host-side reads of simulated time), so with
-    // the sink disabled nothing here runs and the run stays bit-identical.
+    // chosen plan, keyed by W-cycle level.
     let metrics = gpu.metrics();
+    record_level_metrics(metrics, level, gpu.elapsed_seconds() - level_t0, &sweeps);
     if metrics.is_enabled() {
-        let now = gpu.elapsed_seconds();
-        metrics.counter_add("wcycle", Some(level), "level_seconds", now - level_t0);
-        metrics.counter_add("wcycle", Some(level), "tasks", tasks.len() as f64);
-        metrics.counter_add(
-            "wcycle",
-            Some(level),
-            "sweeps",
-            sweeps.iter().copied().max().unwrap_or(0) as f64,
-        );
-        for &s in &sweeps {
-            metrics.observe(
-                "wcycle",
-                Some(level),
-                "sweeps_to_converge",
-                &SWEEP_BUCKETS,
-                s as f64,
-            );
-        }
         metrics.gauge_set("wcycle", Some(level), "plan_w", plan.w as f64);
         metrics.gauge_set("wcycle", Some(level), "plan_delta", plan.delta as f64);
         metrics.gauge_set("wcycle", Some(level), "plan_threads", plan.threads as f64);
@@ -1012,55 +998,6 @@ fn dynamic_schedule(task: &Matrix, parts: &[(usize, usize)]) -> Vec<Vec<(usize, 
     steps
 }
 
-/// Columns `[start, start+w)` blocks of an `n`-column matrix (ragged tail).
-fn partition_cols(n: usize, w: usize) -> Vec<(usize, usize)> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    while start < n {
-        let width = w.min(n - start);
-        parts.push((start, width));
-        start += width;
-    }
-    parts
-}
-
-fn gather_pair(m: &Matrix, i_start: usize, i_w: usize, j_start: usize, j_w: usize) -> Matrix {
-    let rows = m.rows();
-    let mut out = Matrix::zeros(rows, i_w + j_w);
-    for c in 0..i_w {
-        out.col_mut(c).copy_from_slice(m.col(i_start + c));
-    }
-    for c in 0..j_w {
-        out.col_mut(i_w + c).copy_from_slice(m.col(j_start + c));
-    }
-    out
-}
-
-fn scatter_pair(m: &mut Matrix, r: &PairRef, block: &Matrix) {
-    for c in 0..r.i_width {
-        m.col_mut(r.i_start + c).copy_from_slice(block.col(c));
-    }
-    for c in 0..r.j_width {
-        m.col_mut(r.j_start + c)
-            .copy_from_slice(block.col(r.i_width + c));
-    }
-}
-
-/// Rebuilds the rotated pair block `A_ij J = U Σ` (zero-padded for
-/// rank-deficient wide blocks) from the SM SVD kernel's output.
-fn rotated_block(svd: &JacobiSvd, shape: (usize, usize)) -> Matrix {
-    let (m, n) = shape;
-    let mut out = Matrix::zeros(m, n);
-    for (k, &s) in svd.sigma.iter().enumerate() {
-        let src = svd.u.col(k);
-        let dst = out.col_mut(k);
-        for i in 0..m {
-            dst[i] = s * src[i];
-        }
-    }
-    out
-}
-
 fn resolve_plan(
     gpu: &Gpu,
     cfg: &WCycleConfig,
@@ -1090,71 +1027,8 @@ fn resolve_plan(
     }
 }
 
-/// Sorted `(U, Σ)` extraction from a converged matrix (`columns = UΣ`).
-fn extract_u_sigma(conv: &Matrix) -> (Matrix, Vec<f64>) {
-    let (m, n) = conv.shape();
-    let order = sigma_order(conv);
-    let r = m.min(n);
-    let mut u = Matrix::zeros(m, r);
-    let mut sigma = Vec::with_capacity(r);
-    for (k, &j) in order.iter().take(r).enumerate() {
-        let s = dot(conv.col(j), conv.col(j)).sqrt();
-        sigma.push(s);
-        if s > 0.0 {
-            let src = conv.col(j);
-            let dst = u.col_mut(k);
-            for i in 0..m {
-                dst[i] = src[i] / s;
-            }
-        } else if k < m {
-            u[(k, k)] = 1.0;
-        }
-    }
-    (u, sigma)
-}
-
-/// Column indices of `conv` in order of descending column norm.
-fn sigma_order(conv: &Matrix) -> Vec<usize> {
-    let n = conv.cols();
-    let norms: Vec<f64> = (0..n).map(|j| dot(conv.col(j), conv.col(j))).collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&x, &y| norms[y].total_cmp(&norms[x]));
-    order
-}
-
-fn permute_cols(m: &Matrix, order: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), m.cols());
-    for (k, &j) in order.iter().enumerate() {
-        out.col_mut(k).copy_from_slice(m.col(j));
-    }
-    out
-}
-
 fn thin(m: &Matrix, r: usize) -> Matrix {
     Matrix::from_fn(m.rows(), r.min(m.cols()), |i, j| m[(i, j)])
-}
-
-/// Converts a Level-0 kernel result into the output form, undoing the
-/// transpose when needed.
-fn finish_one(svd: JacobiSvd, transposed: bool, want_v: bool) -> WSvd {
-    let sweeps = svd.stats.sweeps;
-    if transposed {
-        // Decomposed A^T = U_t Σ V_t^T, so A = V_t Σ U_t^T.
-        let r = svd.sigma.len();
-        WSvd {
-            u: thin(&svd.v, r),
-            sigma: svd.sigma,
-            v: want_v.then_some(svd.u),
-            sweeps,
-        }
-    } else {
-        WSvd {
-            u: svd.u,
-            sigma: svd.sigma,
-            v: want_v.then_some(svd.v),
-            sweeps,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1199,12 +1073,6 @@ mod tests {
     fn run(mats: &[Matrix], cfg: &WCycleConfig) -> WCycleOutput {
         let gpu = Gpu::new(V100);
         wcycle_svd(&gpu, mats, cfg).unwrap()
-    }
-
-    #[test]
-    fn partition_cols_ragged() {
-        assert_eq!(partition_cols(10, 4), vec![(0, 4), (4, 4), (8, 2)]);
-        assert_eq!(partition_cols(4, 2), vec![(0, 2), (2, 2)]);
     }
 
     #[test]
@@ -1617,6 +1485,92 @@ mod tests {
         match arg(sweeps.last().unwrap(), "coherence") {
             ArgValue::F64(c) => assert!(c < 1e-9, "final coherence {c} not converged"),
             other => panic!("coherence not F64: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_sweep_observer_sees_the_same_samples() {
+        // A mixed batch reaching Level 0 (square and wide) and the block
+        // levels, watched by all three observers at once: the trace
+        // instants, the health watchdog samples and the recorded
+        // convergence must agree sweep for sweep.
+        use wsvd_health::{FlightKind, HealthSink, WatchdogConfig};
+        use wsvd_trace::{ArgValue, EventKind, TraceSink};
+
+        let trace = TraceSink::enabled();
+        let health = HealthSink::with_config(WatchdogConfig {
+            ring_capacity: 1 << 16,
+            ..Default::default()
+        });
+        let mut gpu = Gpu::with_trace(V100, trace.clone());
+        gpu.set_health(health.clone());
+        let mut mats = random_batch(2, 96, 96, 51);
+        mats.extend(random_batch(3, 16, 16, 52));
+        mats.push(random_uniform(20, 60, 53));
+        let cfg = WCycleConfig {
+            record_convergence: true,
+            ..Default::default()
+        };
+        let out = wcycle_svd(&gpu, &mats, &cfg).unwrap();
+        assert!(
+            health.events_recorded() < 1 << 16,
+            "ring must keep every sample"
+        );
+
+        let uint = |e: &wsvd_trace::Event, key: &str| match e.args.iter().find(|(k, _)| *k == key) {
+            Some((_, ArgValue::U64(x))) => *x,
+            other => panic!("{key}: {other:?}"),
+        };
+        let traced: Vec<_> = trace
+            .events()
+            .iter()
+            .filter(|e| e.track == "wcycle" && e.name == "sweep")
+            .map(|e| {
+                let coherence = match e.args.iter().find(|(k, _)| *k == "coherence") {
+                    Some((_, ArgValue::F64(c))) => *c,
+                    other => panic!("coherence: {other:?}"),
+                };
+                let EventKind::Instant { ts } = e.kind else {
+                    panic!("not an instant")
+                };
+                let sample = (
+                    uint(e, "level"),
+                    uint(e, "sweep"),
+                    coherence,
+                    uint(e, "active"),
+                );
+                (sample, ts)
+            })
+            .collect();
+        let watched: Vec<_> = health
+            .tail()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                FlightKind::SweepSample {
+                    level,
+                    sweep,
+                    off_norm,
+                    active,
+                } => Some(((level, sweep, off_norm, active), e.t_sim)),
+                _ => None,
+            })
+            .collect();
+        let recorded: Vec<_> = out
+            .stats
+            .convergence
+            .iter()
+            .map(|r| (r.level, r.sweep, r.off_norm, r.active))
+            .collect();
+
+        assert!(recorded.iter().any(|r| r.0 == 0), "Level-0 sweeps observed");
+        assert!(
+            recorded.iter().any(|r| r.0 >= 1),
+            "block-level sweeps observed"
+        );
+        assert_eq!(traced.iter().map(|t| t.0).collect::<Vec<_>>(), recorded);
+        assert_eq!(watched.iter().map(|w| w.0).collect::<Vec<_>>(), recorded);
+        for (t, w) in traced.iter().zip(&watched) {
+            assert_eq!(t.1.to_bits(), w.1.to_bits(), "one timestamp per sweep");
         }
     }
 

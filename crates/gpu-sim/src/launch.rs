@@ -593,18 +593,8 @@ impl Gpu {
             })
             .collect();
 
-        // List-schedule the blocks onto the resident slots. The traced path
-        // uses the placement-returning variant (same makespan, see tests).
-        let placements = if self.trace.is_enabled() {
-            let (makespan, placements) = list_schedule_placements(&durations, concurrent);
-            Some((makespan, placements))
-        } else {
-            None
-        };
-        let full_cycles = match &placements {
-            Some((makespan, _)) => *makespan,
-            None => list_schedule(&durations, concurrent),
-        };
+        // List-schedule the blocks onto the resident slots.
+        let (full_cycles, placements) = list_schedule_placements(&durations, concurrent);
         let (overhead_seconds, ride) = self.charge_launch(&cfg, slots);
         // Blocks riding the previous same-shape node's resident wave add no
         // makespan: only the remainder opens new waves. (`ride > 0` only
@@ -612,7 +602,7 @@ impl Gpu {
         let kernel_cycles = if ride == 0 {
             full_cycles
         } else {
-            list_schedule(&durations[ride.min(durations.len())..], concurrent)
+            list_schedule_placements(&durations[ride.min(durations.len())..], concurrent).0
         };
         let kernel_seconds = kernel_cycles / (d.clock_ghz * 1e9);
         if ride > 0 {
@@ -634,7 +624,7 @@ impl Gpu {
             overhead_seconds,
             occupancy: d.occupancy(cfg.grid, cfg.threads_per_block, cfg.smem_bytes_per_block),
         };
-        if let Some((_, placements)) = placements {
+        if self.trace.is_enabled() {
             self.trace_launch(&cfg, &stats, &placements);
         }
         self.timeline.lock().record(&stats);
@@ -816,8 +806,7 @@ impl Gpu {
     /// placements (first [`MAX_TRACED_SLOTS`] slots), and counter samples.
     /// Called before the timeline records the launch, so the snapshot of
     /// `timeline.seconds` is the launch's start time.
-    // wsvd-lint: allow(sink-guard) — the caller gates on trace.is_enabled()
-    // when computing `placements` and only invokes this with Some(_).
+    // wsvd-lint: allow(sink-guard) — the caller gates on trace.is_enabled().
     fn trace_launch(&self, cfg: &KernelConfig, stats: &LaunchStats, placements: &[BlockPlacement]) {
         let pid = self.trace_pid;
         let t0 = self.timeline.lock().seconds;
@@ -940,28 +929,6 @@ impl Gpu {
     }
 }
 
-/// Longest-processing-slot list scheduling: assigns each duration to the
-/// earliest-free of `slots` execution slots; returns the makespan.
-fn list_schedule(durations: &[f64], slots: usize) -> f64 {
-    if durations.is_empty() {
-        return 0.0;
-    }
-    let slots = slots.max(1);
-    if slots >= durations.len() {
-        return durations.iter().fold(0.0f64, |m, &d| m.max(d));
-    }
-    // Min-heap of slot end times, keyed by ordered bits of the f64.
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..slots).map(|i| Reverse((0u64, i))).collect();
-    let mut ends = vec![0.0f64; slots];
-    for &d in durations {
-        let Reverse((_, slot)) = heap.pop().expect("heap never empty");
-        ends[slot] += d;
-        heap.push(Reverse((ends[slot].to_bits(), slot)));
-    }
-    ends.iter().fold(0.0f64, |m, &e| m.max(e))
-}
-
 /// Where one block landed in the list schedule (times in cycles, relative
 /// to kernel start).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -976,10 +943,9 @@ pub struct BlockPlacement {
     pub end: f64,
 }
 
-/// The same schedule as [`list_schedule`], additionally returning each
-/// block's `(slot, start, end)` placement for trace export. Kept separate so
-/// the untraced hot path allocates nothing extra; an invariant test pins the
-/// two to the same makespan.
+/// List scheduling: assigns each block, in grid order, to the earliest-free
+/// of `slots` execution slots. Returns the makespan and each block's
+/// `(slot, start, end)` placement (the placements feed trace export).
 fn list_schedule_placements(durations: &[f64], slots: usize) -> (f64, Vec<BlockPlacement>) {
     if durations.is_empty() {
         return (0.0, Vec::new());
@@ -999,6 +965,7 @@ fn list_schedule_placements(durations: &[f64], slots: usize) -> (f64, Vec<BlockP
         let makespan = durations.iter().fold(0.0f64, |m, &d| m.max(d));
         return (makespan, placements);
     }
+    // Min-heap of slot end times, keyed by ordered bits of the f64.
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
         (0..slots).map(|i| Reverse((0u64, i))).collect();
     let mut ends = vec![0.0f64; slots];
@@ -1026,32 +993,32 @@ mod tests {
 
     #[test]
     fn list_schedule_fewer_jobs_than_slots() {
-        assert_eq!(list_schedule(&[3.0, 1.0, 2.0], 8), 3.0);
+        assert_eq!(list_schedule_placements(&[3.0, 1.0, 2.0], 8).0, 3.0);
     }
 
     #[test]
     fn list_schedule_serializes_on_one_slot() {
-        assert_eq!(list_schedule(&[3.0, 1.0, 2.0], 1), 6.0);
+        assert_eq!(list_schedule_placements(&[3.0, 1.0, 2.0], 1).0, 6.0);
     }
 
     #[test]
     fn list_schedule_balances_two_slots() {
         // 4,3,3 on 2 slots -> {4, 3+3} -> 6 or {4+3, 3}=7 depending on order;
         // earliest-free: 4->s0, 3->s1, 3->s1(end 3)->6. Makespan 6.
-        assert_eq!(list_schedule(&[4.0, 3.0, 3.0], 2), 6.0);
+        assert_eq!(list_schedule_placements(&[4.0, 3.0, 3.0], 2).0, 6.0);
     }
 
     #[test]
-    fn placement_schedule_matches_plain_makespan() {
-        // Pseudo-random durations over several slot counts: both scheduler
-        // variants must agree exactly, and placements must tile each slot.
+    fn placements_tile_slots_and_end_at_the_makespan() {
+        // Pseudo-random durations over several slot counts: the makespan is
+        // exactly the latest placement end, and placements tile each slot.
         let durations: Vec<f64> = (0..97)
             .map(|k| 1.0 + ((k * 2654435761u64 as usize) % 97) as f64 / 7.0)
             .collect();
         for slots in [1, 2, 7, 32, 96, 200] {
-            let plain = list_schedule(&durations, slots);
             let (makespan, placements) = list_schedule_placements(&durations, slots);
-            assert_eq!(plain.to_bits(), makespan.to_bits(), "slots={slots}");
+            let last_end = placements.iter().fold(0.0f64, |m, p| m.max(p.end));
+            assert_eq!(last_end.to_bits(), makespan.to_bits(), "slots={slots}");
             assert_eq!(placements.len(), durations.len());
             // Within a slot, blocks must be back-to-back and non-overlapping.
             let mut per_slot: std::collections::BTreeMap<usize, Vec<&BlockPlacement>> =

@@ -12,12 +12,15 @@
 //! * [`fits`] — the exact shared-memory footprint predicates that drive
 //!   Algorithm 2's level classification;
 //! * [`batch`] — one-block-per-matrix batched launches;
+//! * [`block`] — the column-block partition, pair gather/scatter and sorted
+//!   factor extraction shared by every block-Jacobi driver;
 //! * [`verify`] — static conflict-freedom and coverage proofs for any pair
 //!   schedule, used by the `wsvd-sanitizer` layer before kernels launch.
 
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod block;
 pub mod evd;
 pub mod fits;
 pub mod onesided;

@@ -68,10 +68,6 @@ pub struct OneSidedConfig {
     /// every sweep (a kernel that exits per sweep for host-side convergence
     /// checks, like cuSOLVER's `gesvdj`), instead of staying SM-resident.
     pub gm_stage_per_sweep: bool,
-    /// Record the per-sweep maximum coherence in
-    /// [`SweepOutcome::coherence_per_sweep`] (convergence telemetry for
-    /// tracing; off by default so untraced runs allocate nothing).
-    pub record_coherence: bool,
 }
 
 impl Default for OneSidedConfig {
@@ -84,7 +80,6 @@ impl Default for OneSidedConfig {
             accumulate_v: true,
             ordering: Ordering::RoundRobin,
             gm_stage_per_sweep: false,
-            record_coherence: false,
         }
     }
 }
@@ -112,8 +107,8 @@ pub struct SweepOutcome {
     pub v: Option<Matrix>,
     /// Iteration statistics.
     pub stats: JacobiStats,
-    /// Maximum coherence observed during each sweep, oldest first. Empty
-    /// unless [`OneSidedConfig::record_coherence`] was set.
+    /// Maximum coherence observed during each sweep, oldest first (one
+    /// entry per executed sweep).
     pub coherence_per_sweep: Vec<f64>,
 }
 
@@ -303,9 +298,7 @@ pub fn one_sided_sweeps_in(
             ctx.sync_threads();
         }
 
-        if cfg.record_coherence {
-            coherence_per_sweep.push(max_coherence);
-        }
+        coherence_per_sweep.push(max_coherence);
         if max_coherence <= cfg.tol {
             stats.converged = true;
             break;
@@ -330,8 +323,7 @@ pub struct JacobiSvd {
     pub v: Matrix,
     /// Iteration statistics.
     pub stats: JacobiStats,
-    /// Per-sweep maximum coherence (empty unless
-    /// [`OneSidedConfig::record_coherence`] was set).
+    /// Per-sweep maximum coherence, oldest first (one entry per sweep).
     pub coherence_per_sweep: Vec<f64>,
 }
 

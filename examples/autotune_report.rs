@@ -30,7 +30,7 @@ fn main() {
             ai_update(plan, V100.load_width),
         );
     }
-    let chosen = auto_tune(&sizes, V100_TLP_THRESHOLD);
+    let chosen = auto_tune(&sizes, V100_TLP_THRESHOLD, usize::MAX);
     println!(
         "\nthreshold {} -> engine selects w={}, delta={}, T={} (the paper's 4th candidate)",
         V100_TLP_THRESHOLD, chosen.w, chosen.delta, chosen.threads
@@ -46,7 +46,7 @@ fn main() {
         ("500 x 64^2 (large batch of small)", vec![(64, 64); 500]),
         ("10 x 1536^2 (few huge)", vec![(1536, 1536); 10]),
     ] {
-        let p = auto_tune(&sizes, V100_TLP_THRESHOLD);
+        let p = auto_tune(&sizes, V100_TLP_THRESHOLD, usize::MAX);
         println!(
             "{label:<36} -> w={:<3} delta={:<5} T={}",
             p.w, p.delta, p.threads

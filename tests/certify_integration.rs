@@ -17,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use wcycle_svd::batched::autotune::{auto_tune_with_w_cap, V100_TLP_THRESHOLD};
+use wcycle_svd::batched::autotune::{auto_tune, V100_TLP_THRESHOLD};
 use wcycle_svd::batched::models::TailorPlan;
 use wcycle_svd::core::certify::{self, CertificateStore, CertifyMode};
 use wcycle_svd::gpu::{Gpu, SanitizeMode, ALL_DEVICES, V100};
@@ -54,7 +54,7 @@ proptest! {
         threshold_sel in 0usize..3,
     ) {
         let threshold = [0.0, V100_TLP_THRESHOLD, f64::INFINITY][threshold_sel];
-        let plan: TailorPlan = auto_tune_with_w_cap(&sizes, threshold, 48);
+        let plan: TailorPlan = auto_tune(&sizes, threshold, 48);
         for device in &ALL_DEVICES {
             let cert = store().lookup(device.name, plan.w, plan.threads);
             prop_assert!(
