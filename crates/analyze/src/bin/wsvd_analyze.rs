@@ -54,8 +54,8 @@ fn run_certify(out: Option<&Path>, max_blocks: usize) -> Result<(), String> {
     let store = certify_all_devices(max_blocks).map_err(|e| format!("certification: {e}"))?;
     let sweep = sweep_reachability(&store).map_err(|e| format!("false rejection: {e}"))?;
     println!(
-        "certify: {} certificates across {} devices; atlas proves {} schedule(s) up to {} \
-         blocks ({} pairs)",
+        "certify: {} certificates across {} devices; atlas proves round-robin at {} block \
+         count(s) up to {} blocks ({} pairs)",
         store.len(),
         store.devices.len(),
         store.atlas.proofs,

@@ -31,7 +31,6 @@ use wsvd_core::certify::{
     DeviceCertificates, FamilyKey, PlanClaim, PlanOrigin,
 };
 use wsvd_gpu_sim::{DeviceSpec, ALL_DEVICES};
-use wsvd_jacobi::ordering::Ordering;
 
 /// The top-level width cap `decompose_level` starts from (the SM-fit bound
 /// `w_1 <= 48` of Algorithm 2).
@@ -108,7 +107,7 @@ pub fn certify_all_devices(max_blocks: usize) -> Result<CertificateStore, Certif
                     continue; // autotuned tier wins on overlap
                 }
                 let claim = PlanClaim::for_device(key.w, key.threads, origin, device);
-                let cert = certify_claim(&claim, device, &store.atlas)?;
+                let cert = certify_claim(&claim, device)?;
                 families.insert(key.id(), cert);
             }
         }
@@ -221,17 +220,16 @@ pub fn sweep_reachability(store: &CertificateStore) -> Result<SweepReport, Strin
                         PlanCache::global().lookup_or_tune(&level_sizes, threshold, cap);
                     selected.insert((plan.w, plan.threads));
                     for device in &ALL_DEVICES {
-                        check_level_with(store, device, &plan, &level_sizes, Ordering::RoundRobin)
-                            .map_err(|e| {
-                                format!(
-                                    "{exp}: plan (w={}, T={}) for {:?} under cap {cap} \
+                        check_level_with(store, device, &plan, &level_sizes).map_err(|e| {
+                            format!(
+                                "{exp}: plan (w={}, T={}) for {:?} under cap {cap} \
                                      rejected on {}: {e}",
-                                    plan.w,
-                                    plan.threads,
-                                    level_sizes.first(),
-                                    device.name
-                                )
-                            })?;
+                                plan.w,
+                                plan.threads,
+                                level_sizes.first(),
+                                device.name
+                            )
+                        })?;
                     }
                     selections += 1;
                 }
@@ -250,20 +248,19 @@ pub fn sweep_reachability(store: &CertificateStore) -> Result<SweepReport, Strin
 /// schedule with a step conflict. Returns the two rejection messages;
 /// panics if either is (wrongly) certified.
 pub fn planted_rejections(device: &DeviceSpec) -> (String, String) {
-    let atlas = build_schedule_atlas(8).expect("atlas");
     let mut oversized = PlanClaim::for_device(25, 256, PlanOrigin::Pinned, device);
     assert!(
         !oversized.terminal,
         "w=25 must sit beyond the Observation-2 boundary"
     );
     oversized.terminal = true;
-    let e1 = match certify_claim(&oversized, device, &atlas) {
+    let e1 = match certify_claim(&oversized, device) {
         Err(e) => e.to_string(),
         Ok(_) => panic!("oversized-smem plan must be rejected"),
     };
     let mut conflicting = PlanClaim::for_device(16, 256, PlanOrigin::Pinned, device);
     conflicting.custom_schedule = Some((vec![vec![(0, 1), (1, 2)], vec![(0, 2)]], 3));
-    let e2 = match certify_claim(&conflicting, device, &atlas) {
+    let e2 = match certify_claim(&conflicting, device) {
         Err(e) => e.to_string(),
         Ok(_) => panic!("conflicting-schedule plan must be rejected"),
     };

@@ -159,10 +159,7 @@ fn factor_batch(
         SvdEngine::Magma => Ok((
             magma_batched_svd(gpu, anomalies)?
                 .into_iter()
-                .map(|r| {
-                    let v = r.v.expect("magma always returns V");
-                    (r.u, r.sigma, v)
-                })
+                .map(|r| (r.u, r.sigma, r.v))
                 .collect(),
             None,
         )),

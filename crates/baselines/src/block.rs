@@ -9,7 +9,6 @@
 //! or from the Gram + EVD route.
 
 use wsvd_batched::gemm::{batched_gram, batched_update, GemmStrategy};
-use wsvd_batched::models::TailorPlan;
 use wsvd_gpu_sim::{Gpu, KernelError};
 use wsvd_jacobi::batch::{batched_evd_sm, batched_svd_gm, batched_svd_sm};
 use wsvd_jacobi::block::{
@@ -18,7 +17,7 @@ use wsvd_jacobi::block::{
 use wsvd_jacobi::evd::{EvdConfig, EvdVariant};
 use wsvd_jacobi::fits::svd_fits_in_sm;
 use wsvd_jacobi::onesided::OneSidedConfig;
-use wsvd_jacobi::Ordering;
+use wsvd_jacobi::ordering::round_robin;
 use wsvd_linalg::verify::columns_converged;
 use wsvd_linalg::Matrix;
 
@@ -42,10 +41,6 @@ pub struct BlockJacobiConfig {
     pub w: usize,
     /// Rotation generation route.
     pub rotation: RotationSource,
-    /// Use the tailoring strategy for the batched GEMMs.
-    pub tailor: bool,
-    /// Accumulate right singular matrices.
-    pub want_v: bool,
     /// Coherence tolerance.
     pub tol: f64,
     /// Sweep cap.
@@ -65,8 +60,6 @@ impl Default for BlockJacobiConfig {
         Self {
             w: 16,
             rotation: RotationSource::GramEvd,
-            tailor: false,
-            want_v: true,
             tol: 1e-12,
             max_sweeps: 40,
             evd_variant: EvdVariant::Parallel,
@@ -83,8 +76,8 @@ pub struct BlockSvd {
     pub u: Matrix,
     /// Singular values, descending.
     pub sigma: Vec<f64>,
-    /// Right singular vectors (`n x n`), when requested.
-    pub v: Option<Matrix>,
+    /// Right singular vectors (`n x n`).
+    pub v: Matrix,
     /// Sweeps until convergence.
     pub sweeps: usize,
     /// Block rotations applied for this matrix.
@@ -100,21 +93,14 @@ pub fn block_jacobi_svd(
 ) -> Result<Vec<BlockSvd>, KernelError> {
     let smem = gpu.device().smem_per_block_bytes;
     let mut tasks: Vec<Matrix> = mats.to_vec();
-    let mut vs: Vec<Option<Matrix>> = tasks
-        .iter()
-        .map(|t| cfg.want_v.then(|| Matrix::identity(t.cols())))
-        .collect();
+    let mut vs: Vec<Matrix> = tasks.iter().map(|t| Matrix::identity(t.cols())).collect();
     let mut sweeps = vec![0usize; tasks.len()];
     let mut rotations = vec![0u64; tasks.len()];
     let mut active: Vec<bool> = tasks.iter().map(|t| t.cols() >= 2).collect();
 
-    let strategy = if cfg.tailor {
-        let m_star = tasks.iter().map(|t| t.rows()).max().unwrap_or(8);
-        GemmStrategy::Tailored(TailorPlan::new(cfg.w, m_star, KERNEL_THREADS))
-    } else {
-        GemmStrategy::OneBlockPerGemm {
-            threads: KERNEL_THREADS,
-        }
+    // Algorithm 1 predates the tailoring strategy: one block per GEMM.
+    let strategy = GemmStrategy::OneBlockPerGemm {
+        threads: KERNEL_THREADS,
     };
 
     let parts: Vec<Vec<(usize, usize)>> = tasks
@@ -129,13 +115,7 @@ pub fn block_jacobi_svd(
         let schedules: Vec<_> = parts
             .iter()
             .zip(&active)
-            .map(|(p, &a)| {
-                if a {
-                    wsvd_jacobi::ordering::round_robin(p.len())
-                } else {
-                    Vec::new()
-                }
-            })
+            .map(|(p, &a)| if a { round_robin(p.len()) } else { Vec::new() })
             .collect();
         let max_steps = schedules.iter().map(|s| s.len()).max().unwrap_or(0);
 
@@ -175,8 +155,6 @@ pub fn block_jacobi_svd(
                     // stops at the outer tol would stall the sweep loop.
                     let one_sided = OneSidedConfig {
                         tol: (cfg.tol * 1e-2).max(1e-15),
-                        accumulate_v: true,
-                        ordering: Ordering::RoundRobin,
                         threads_per_pair: cfg.svd_threads_per_pair,
                         cache_norms: cfg.svd_cache_norms,
                         ..Default::default()
@@ -214,21 +192,14 @@ pub fn block_jacobi_svd(
             };
 
             // Scatter and V accumulation.
-            let mut v_blocks = Vec::new();
-            let mut v_meta = Vec::new();
-            for ((&(t, bi, bj), block), j) in refs.iter().zip(&blocks).zip(&js) {
+            let mut v_blocks = Vec::with_capacity(refs.len());
+            for (&(t, bi, bj), block) in refs.iter().zip(&blocks) {
                 scatter_pair(&mut tasks[t], bi, bj, block);
-                if let Some(v) = &vs[t] {
-                    v_blocks.push(gather_pair(v, bi, bj));
-                    v_meta.push((t, bi, bj, j.clone()));
-                }
+                v_blocks.push(gather_pair(&vs[t], bi, bj));
             }
-            if !v_blocks.is_empty() {
-                let v_js: Vec<Matrix> = v_meta.iter().map(|(_, _, _, j)| j.clone()).collect();
-                batched_update(gpu, &mut v_blocks, &v_js, strategy)?;
-                for ((t, bi, bj, _), vb) in v_meta.into_iter().zip(v_blocks) {
-                    scatter_pair(vs[t].as_mut().unwrap(), bi, bj, &vb);
-                }
+            batched_update(gpu, &mut v_blocks, &js, strategy)?;
+            for (&(t, bi, bj), vb) in refs.iter().zip(v_blocks) {
+                scatter_pair(&mut vs[t], bi, bj, &vb);
             }
         }
 
@@ -247,11 +218,11 @@ pub fn block_jacobi_svd(
         .zip(vs)
         .zip(sweeps.iter().zip(&rotations))
         .map(|((conv, v), (&sweeps, &rotations))| {
-            let (u, sigma, v) = extract_sorted(conv, v.as_ref());
+            let (u, sigma, v) = extract_sorted(conv, Some(&v));
             BlockSvd {
                 u,
                 sigma,
-                v,
+                v: v.expect("V is always accumulated"),
                 sweeps,
                 rotations,
             }
@@ -289,9 +260,7 @@ mod tests {
             assert!((g - w).abs() < 1e-8 * (1.0 + w), "{g} vs {w}");
         }
         assert!(orthonormality_error(&out.u) < 1e-8);
-        if let Some(v) = &out.v {
-            assert!(orthonormality_error(v) < 1e-8);
-        }
+        assert!(orthonormality_error(&out.v) < 1e-8);
     }
 
     #[test]
@@ -357,36 +326,5 @@ mod tests {
         };
         let outs = block_jacobi_svd(&gpu, std::slice::from_ref(&a), &cfg).unwrap();
         assert_eq!(outs[0].rotations, rotations_per_sweep(64, 16));
-    }
-
-    #[test]
-    fn tailored_gemms_do_not_change_numerics() {
-        let gpu = Gpu::new(V100);
-        let mats = random_batch(1, 80, 80, 11);
-        let plain = block_jacobi_svd(&gpu, &mats, &BlockJacobiConfig::default()).unwrap();
-        let cfg = BlockJacobiConfig {
-            tailor: true,
-            ..Default::default()
-        };
-        let tailored = block_jacobi_svd(&gpu, &mats, &cfg).unwrap();
-        for (p, t) in plain[0].sigma.iter().zip(&tailored[0].sigma) {
-            assert!((p - t).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn want_v_false_is_cheaper_and_valueless() {
-        let gpu = Gpu::new(V100);
-        let mats = random_batch(1, 64, 64, 13);
-        let cfg = BlockJacobiConfig {
-            want_v: false,
-            ..Default::default()
-        };
-        let outs = block_jacobi_svd(&gpu, &mats, &cfg).unwrap();
-        assert!(outs[0].v.is_none());
-        let want = singular_values(&mats[0]).unwrap();
-        for (g, w) in outs[0].sigma.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-8 * (1.0 + w));
-        }
     }
 }

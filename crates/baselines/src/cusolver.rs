@@ -50,7 +50,6 @@ pub fn gesvdj_batched(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<CusolverSvd>, Ke
     let cfg = OneSidedConfig {
         threads_per_pair: 1,
         cache_norms: false,
-        accumulate_v: true,
         gm_stage_per_sweep: true,
         ..Default::default()
     };
@@ -63,7 +62,7 @@ pub fn gesvdj_batched(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<CusolverSvd>, Ke
         .map(|s| BlockSvd {
             u: s.u,
             sigma: s.sigma,
-            v: Some(s.v),
+            v: s.v,
             sweeps: s.stats.sweeps,
             rotations: s.stats.rotations,
         })
@@ -87,7 +86,6 @@ pub fn gesvdj(gpu: &Gpu, a: &Matrix) -> Result<CusolverSvd, KernelError> {
     let cfg = BlockJacobiConfig {
         w: GESVDJ_BLOCK_W,
         rotation: RotationSource::GramEvd,
-        tailor: false,
         evd_variant: wsvd_jacobi::EvdVariant::Sequential,
         svd_threads_per_pair: 32,
         svd_cache_norms: false,
@@ -98,11 +96,11 @@ pub fn gesvdj(gpu: &Gpu, a: &Matrix) -> Result<CusolverSvd, KernelError> {
         .unwrap();
     if a.rows() < a.cols() {
         // Swap factors for the wide input.
-        let v_t = out.v.take().expect("want_v on");
+        let v_t = &out.v;
         let r = out.sigma.len();
         let u_new = Matrix::from_fn(v_t.rows(), r, |i, j| v_t[(i, j)]);
         out = BlockSvd {
-            v: Some(out.u),
+            v: out.u,
             u: u_new,
             sigma: out.sigma,
             sweeps: out.sweeps,

@@ -20,7 +20,6 @@ fn dp_config(rotation: RotationSource) -> BlockJacobiConfig {
     BlockJacobiConfig {
         w: DP_BLOCK_W,
         rotation,
-        tailor: false,
         evd_variant: EvdVariant::Sequential,
         svd_threads_per_pair: 32,
         svd_cache_norms: false,

@@ -102,7 +102,7 @@ pub fn magma_gesvd(gpu: &Gpu, a: &Matrix) -> Result<BlockSvd, KernelError> {
     Ok(BlockSvd {
         u,
         sigma,
-        v: Some(v),
+        v,
         sweeps: 0,
         rotations: 0,
     })

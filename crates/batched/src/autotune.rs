@@ -14,8 +14,6 @@ use std::sync::{Mutex, OnceLock};
 use wsvd_gpu_sim::Gpu;
 use wsvd_linalg::generate::random_uniform;
 use wsvd_linalg::Matrix;
-use wsvd_metrics::MetricsSink;
-use wsvd_trace::TraceSink;
 
 use crate::gemm::{batched_gram, batched_update, GemmStrategy};
 use crate::models::{tlp, TailorPlan};
@@ -226,51 +224,28 @@ impl PlanCache {
     }
 }
 
-/// Observability context for one auto-tuning call: where (and whether) to
-/// record trace events and registry metrics. Both sinks are cheap clones;
-/// disabled sinks make the call identical to the plain engine.
-#[derive(Clone, Default)]
-pub struct TuneTelemetry {
-    /// Trace sink for the `autotune`/`plan-cache` tracks.
-    pub trace: TraceSink,
-    /// Metrics sink for plan-cache counters and chosen-plan gauges.
-    pub metrics: MetricsSink,
-    /// Trace process id of the issuing GPU.
-    pub pid: u32,
-    /// W-cycle level of the workload being tuned.
-    pub level: usize,
-    /// Simulated time of the call, in seconds.
-    pub now: f64,
-}
-
-/// The W-cycle's tuning entry point: the [`PlanCache::global`] lookup of
-/// [`auto_tune`], additionally emitting one `plan` instant
-/// on the telemetry's trace sink (track `autotune`, timestamp `now` in
-/// simulated seconds) carrying the chosen plan and the TLP scores of every
-/// candidate the engine rejected, plus `plan-cache` counter samples with the
-/// cumulative hit/miss counts of [`PlanCache::global`] — and, on the
-/// telemetry's metrics sink, per-call hit/miss counter increments and
-/// chosen-plan gauges keyed by level. With both sinks disabled this is
-/// exactly the cached lookup.
+/// The W-cycle's tuning entry point for W-cycle level `level` on `gpu`: the
+/// [`PlanCache::global`] lookup of [`auto_tune`], additionally emitting one
+/// `plan` instant on the GPU's trace sink (its process, track `autotune`,
+/// timestamped at the GPU's simulated clock) carrying the chosen plan and
+/// the TLP scores of every candidate the engine rejected, plus `plan-cache`
+/// counter samples with the cumulative hit/miss counts of
+/// [`PlanCache::global`] — and, on the GPU's metrics sink, per-call hit/miss
+/// counter increments and chosen-plan gauges keyed by level. With both sinks
+/// disabled this is exactly the cached lookup.
 ///
 /// All paths consult the global plan cache; the traced path re-runs the
 /// scoring only to reconstruct the rejected-candidate table for the event,
 /// so cached and fresh selections stay observably identical.
 pub fn auto_tune_with_w_cap_traced(
+    gpu: &Gpu,
+    level: usize,
     sizes: &[(usize, usize)],
     threshold: f64,
     w_cap: usize,
-    telemetry: &TuneTelemetry,
 ) -> TailorPlan {
     let (plan, hit) = PlanCache::global().lookup_or_tune(sizes, threshold, w_cap);
-    let TuneTelemetry {
-        trace,
-        metrics,
-        pid,
-        level,
-        now,
-    } = telemetry;
-    let (pid, level, now) = (*pid, *level, *now);
+    let metrics = gpu.metrics();
     if metrics.is_enabled() {
         // Increments, not the cache's cumulative totals: a per-run sink (or
         // a snapshot delta) then counts exactly this run's lookups even when
@@ -283,7 +258,9 @@ pub fn auto_tune_with_w_cap_traced(
         // unmetered runs do no extra host work.
         metrics.gauge_set("autotune", Some(level), "plan_tlp", tlp(&plan, sizes));
     }
+    let trace = gpu.trace();
     if trace.is_enabled() {
+        let (pid, now) = (gpu.trace_pid(), gpu.elapsed_seconds());
         let (fresh, chosen, scored) = select_plan(sizes, threshold, w_cap);
         debug_assert_eq!(fresh, plan, "cache must agree with a fresh walk");
         let rejected = scored
@@ -450,17 +427,12 @@ mod tests {
     fn traced_selection_matches_untraced_and_records_rejects() {
         let sizes = vec![(256usize, 256usize); 100];
         let sink = wsvd_trace::TraceSink::enabled();
-        let pid = sink.register_process("test");
-        let metrics = MetricsSink::enabled();
+        let metrics = wsvd_metrics::MetricsSink::enabled();
         metrics.set_experiment("unit");
-        let telemetry = TuneTelemetry {
-            trace: sink.clone(),
-            metrics: metrics.clone(),
-            pid,
-            level: 1,
-            now: 0.25,
-        };
-        let traced = auto_tune_with_w_cap_traced(&sizes, V100_TLP_THRESHOLD, 48, &telemetry);
+        let mut gpu = Gpu::with_trace(wsvd_gpu_sim::V100, sink.clone());
+        gpu.set_metrics(metrics.clone());
+        gpu.add_host_seconds(0.25);
+        let traced = auto_tune_with_w_cap_traced(&gpu, 1, &sizes, V100_TLP_THRESHOLD, 48);
         assert_eq!(traced, auto_tune(&sizes, V100_TLP_THRESHOLD, 48));
 
         // The metrics registry saw exactly one lookup (hit or miss depending
@@ -480,6 +452,8 @@ mod tests {
         let plans: Vec<_> = evs.iter().filter(|e| e.track == "autotune").collect();
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].name, "plan");
+        assert_eq!(plans[0].pid, gpu.trace_pid());
+        assert!(matches!(plans[0].kind, wsvd_trace::EventKind::Instant { ts } if ts == 0.25));
         // The cache surfaces its cumulative hit/miss counts as counter
         // samples alongside every traced selection.
         let cache_evs: Vec<_> = evs.iter().filter(|e| e.track == "plan-cache").collect();

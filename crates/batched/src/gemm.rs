@@ -15,8 +15,7 @@
 //!   then reduced in a second kernel (Fig. 6).
 
 use wsvd_gpu_sim::{
-    BarrierDiscipline, Gpu, KernelConfig, KernelError, KernelResource, LaunchStats, ScheduleFamily,
-    SmemRequirement,
+    BarrierDiscipline, Gpu, KernelConfig, KernelError, KernelResource, LaunchStats, SmemRequirement,
 };
 use wsvd_linalg::gemm::{gram, matmul};
 use wsvd_linalg::Matrix;
@@ -40,15 +39,14 @@ pub fn gemm_smem_requirement() -> SmemRequirement {
 }
 
 /// Resource-IR descriptor for the batched Gram/update GEMM kernels: the
-/// fixed 16 KiB double-buffered tile arena, uniform block-wide barriers
-/// between tile phases, and no pair schedule (pure data parallelism).
+/// fixed 16 KiB double-buffered tile arena and uniform block-wide barriers
+/// between tile phases.
 pub fn gemm_kernel_resource(threads: usize) -> KernelResource {
     KernelResource {
         kernel: "batched-gemm".to_string(),
         smem: gemm_smem_requirement(),
         threads_per_block: threads,
         barriers: BarrierDiscipline::Uniform,
-        schedule: ScheduleFamily::None,
     }
 }
 

@@ -18,7 +18,7 @@ pub mod models;
 pub use alpha::{alpha_gcf, DecisionTree, TPP_CANDIDATES};
 pub use autotune::{
     auto_tune, auto_tune_with_w_cap_traced, calibrate_threshold, candidate_plans,
-    scored_candidates, PlanCache, TuneTelemetry, V100_TLP_THRESHOLD,
+    scored_candidates, PlanCache, V100_TLP_THRESHOLD,
 };
 pub use gemm::{
     batched_gram, batched_update, gemm_kernel_resource, gemm_smem_requirement, tailor_assignment,

@@ -326,7 +326,7 @@ pub fn ext_trace(scale: Scale) -> Report {
 pub fn ext_sanitize(scale: Scale) -> Report {
     use wsvd_gpu_sim::{KernelConfig, SanitizeMode};
     use wsvd_jacobi::ordering::Schedule;
-    use wsvd_jacobi::verify::{verify_schedule, Coverage, ScheduleViolation};
+    use wsvd_jacobi::verify::{verify_schedule, ScheduleViolation};
 
     let batch = scale.dim(100, 5, 10);
     let mut rep = Report::new(
@@ -424,7 +424,7 @@ pub fn ext_sanitize(scale: Scale) -> Report {
 
     // Planted static bug: pairs (0,1) and (1,2) share column 1 in one step.
     let bad: Schedule = vec![vec![(0, 1), (1, 2)], vec![(0, 2)]];
-    let verdict = match verify_schedule(&bad, 3, Coverage::ExactlyOnce) {
+    let verdict = match verify_schedule(&bad, 3) {
         Ok(_) => "MISSED".to_string(),
         Err(ScheduleViolation::Conflict { index, .. }) => {
             format!("rejected: conflict on column {index}")
@@ -570,11 +570,8 @@ pub fn ext_certify(scale: Scale) -> Report {
     rep.push_row(vec![
         "schedule atlas".to_string(),
         format!(
-            "{} orderings x blocks 2..={} ({} proofs, {} pairs)",
-            store.atlas.orderings.len(),
-            store.atlas.max_blocks,
-            store.atlas.proofs,
-            store.atlas.pairs
+            "round-robin x blocks 2..={} ({} proofs, {} pairs)",
+            store.atlas.max_blocks, store.atlas.proofs, store.atlas.pairs
         ),
         "proved".to_string(),
     ]);

@@ -28,15 +28,17 @@
 //! the task's *block count* — never on the matrix entries and not on `m`
 //! beyond the predicates' own guards. So a certificate proving 1–4 for all
 //! block counts up to a bound covers every launch the family can make, and
-//! the runtime check reduces to: family present, ordering covered, per-task
-//! block count within the certified bound.
+//! the runtime check reduces to: family present, per-task block count
+//! within the certified bound. Obligation 2 is the same for every family —
+//! the round-robin sweep at that block count — so it is proven once, in the
+//! shared [`ScheduleAtlas`].
 //!
 //! Dynamically generated schedules (`WCycleConfig::dynamic_ordering`) carry
 //! no static proof by construction; certified runs keep the per-sweep
 //! runtime schedule check for them, exactly as the sanitizer does.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::Serialize;
@@ -44,8 +46,8 @@ use wsvd_batched::gemm::gemm_kernel_resource;
 use wsvd_batched::models::TailorPlan;
 use wsvd_gpu_sim::{DeviceSpec, KernelResource, ResourceFit};
 use wsvd_jacobi::fits::{evd_kernel_resource, max_w_for_evd, svd_kernel_resource, svd_smem_elems};
-use wsvd_jacobi::ordering::{Ordering, Schedule};
-use wsvd_jacobi::verify::{verify_ordering, verify_schedule, Coverage};
+use wsvd_jacobi::ordering::Schedule;
+use wsvd_jacobi::verify::{verify_round_robin, verify_schedule};
 
 use crate::verify::effective_width;
 
@@ -101,7 +103,7 @@ pub struct PlanClaim {
     /// `2w` columns wide fits an SM kernel, anchored by the `2w x 2w` Gram
     /// EVD (Observation 2).
     pub terminal: bool,
-    /// A custom pair schedule to certify instead of the shipped orderings
+    /// A custom pair schedule to certify on top of the round-robin atlas
     /// (used to probe conflicting-schedule rejection). `(schedule, blocks)`.
     pub custom_schedule: Option<(Schedule, usize)>,
 }
@@ -194,7 +196,7 @@ pub struct PlanCertificate {
     pub tlp_unit: f64,
 }
 
-/// Shared schedule proofs: the orderings' conflict-freedom and exactly-once
+/// Shared schedule proofs: round-robin's conflict-freedom and exactly-once
 /// coverage depend only on the block count, not on the device or family, so
 /// they are proven once for every block count up to `max_blocks` and shared
 /// by all certificates.
@@ -202,30 +204,25 @@ pub struct PlanCertificate {
 pub struct ScheduleAtlas {
     /// Largest block count with an exhaustive proof.
     pub max_blocks: usize,
-    /// Ordering names covered (every `Ordering::ALL` member).
-    pub orderings: Vec<String>,
-    /// Individual `(ordering, blocks)` proofs checked.
+    /// Individual per-block-count proofs checked.
     pub proofs: u64,
     /// Total pairs covered across all proofs.
     pub pairs: u64,
 }
 
-/// Builds the atlas by running `verify_ordering` for every shipped ordering
-/// at every block count `2..=max_blocks`.
+/// Builds the atlas by running `verify_round_robin` at every block count
+/// `2..=max_blocks`.
 pub fn build_schedule_atlas(max_blocks: usize) -> Result<ScheduleAtlas, CertifyError> {
     let mut proofs = 0u64;
     let mut pairs = 0u64;
-    for &o in Ordering::ALL.iter() {
-        for b in 2..=max_blocks {
-            let p = verify_ordering(o, b)
-                .map_err(|e| CertifyError::Schedule(format!("{o:?} at {b} blocks: {e}")))?;
-            proofs += 1;
-            pairs += p.pairs as u64;
-        }
+    for b in 2..=max_blocks {
+        let p = verify_round_robin(b)
+            .map_err(|e| CertifyError::Schedule(format!("round-robin at {b} blocks: {e}")))?;
+        proofs += 1;
+        pairs += p.pairs as u64;
     }
     Ok(ScheduleAtlas {
         max_blocks,
-        orderings: Ordering::ALL.iter().map(|o| format!("{o:?}")).collect(),
         proofs,
         pairs,
     })
@@ -281,27 +278,15 @@ impl CertificateStore {
 
 /// Certifies one claim on one device: discharges the non-tautological
 /// obligations listed in the module docs and returns the certificate, or the
-/// first failed obligation.
+/// first failed obligation. The round-robin half of obligation 2 lives in
+/// the shared [`ScheduleAtlas`], not in the certificate.
 pub fn certify_claim(
     claim: &PlanClaim,
     device: &DeviceSpec,
-    atlas: &ScheduleAtlas,
 ) -> Result<PlanCertificate, CertifyError> {
     let FamilyKey { w, threads } = claim.key;
     let smem = device.smem_per_block_bytes;
     let mut resources = Vec::new();
-
-    // Obligation 2 (shipped orderings): the certificate leans on the shared
-    // atlas, so an atlas that does not cover every shipped ordering cannot
-    // back a certificate.
-    for o in Ordering::ALL.iter() {
-        let name = format!("{o:?}");
-        if !atlas.orderings.iter().any(|a| a == &name) {
-            return Err(CertifyError::Schedule(format!(
-                "atlas does not cover ordering {name}"
-            )));
-        }
-    }
 
     // Obligation 1 + 4 (GEMM): tile fit, thread shape, barriers.
     let gemm = gemm_kernel_resource(threads);
@@ -341,10 +326,10 @@ pub fn certify_claim(
         .map_err(|e| CertifyError::Resource(e.to_string()))?;
     resources.push(CertifiedResource::from_fit(&svd, fit));
 
-    // Obligation 2: schedules. The shipped orderings are proven by the
-    // shared atlas; a custom schedule must prove itself here.
+    // Obligation 2: schedules. Round-robin is proven by the shared atlas; a
+    // custom schedule must prove itself here.
     if let Some((sched, blocks)) = &claim.custom_schedule {
-        verify_schedule(sched, *blocks, Coverage::ExactlyOnce)
+        verify_schedule(sched, *blocks)
             .map_err(|e| CertifyError::Schedule(format!("custom schedule: {e}")))?;
     }
 
@@ -364,8 +349,8 @@ pub fn certify_claim(
 pub enum CertifyMode {
     /// Certificates ignored; behavior identical to before certification.
     Off,
-    /// Every selected plan must hold a certificate covering its ordering
-    /// and block counts; a miss is a hard error before launch. Certified
+    /// Every selected plan must hold a certificate covering its block
+    /// counts; a miss is a hard error before launch. Certified
     /// levels skip the per-launch `verify_level` re-verification.
     Require,
 }
@@ -391,12 +376,12 @@ pub fn store() -> Option<Arc<CertificateStore>> {
 /// Sets the process-wide certification mode (mirrors the sanitizer's
 /// `set_global` pattern; `repro --certify` sets `Require` once at startup).
 pub fn set_mode(mode: CertifyMode) {
-    MODE.store(mode as u8, AtomicOrdering::Relaxed);
+    MODE.store(mode as u8, Ordering::Relaxed);
 }
 
 /// The current certification mode.
 pub fn mode() -> CertifyMode {
-    match MODE.load(AtomicOrdering::Relaxed) {
+    match MODE.load(Ordering::Relaxed) {
         1 => CertifyMode::Require,
         _ => CertifyMode::Off,
     }
@@ -412,16 +397,15 @@ pub struct CertifiedLevel {
 }
 
 /// Consults the store for one level: the selected plan's family must be
-/// certified on this device, the configured ordering must be covered by the
-/// atlas, and every task's block count must be within the proven bound.
+/// certified on this device, and every task's block count must be within
+/// the atlas's proven bound.
 pub fn check_level(
     device: &DeviceSpec,
     plan: &TailorPlan,
     sizes: &[(usize, usize)],
-    ordering: Ordering,
 ) -> Result<CertifiedLevel, String> {
     let store = store().ok_or("no certificate store installed")?;
-    check_level_with(&store, device, plan, sizes, ordering)
+    check_level_with(&store, device, plan, sizes)
 }
 
 /// [`check_level`] against an explicit store (the global-free core).
@@ -430,7 +414,6 @@ pub fn check_level_with(
     device: &DeviceSpec,
     plan: &TailorPlan,
     sizes: &[(usize, usize)],
-    ordering: Ordering,
 ) -> Result<CertifiedLevel, String> {
     let dev = store
         .devices
@@ -451,10 +434,6 @@ pub fn check_level_with(
             "plan family (w={}, T={}) is not certified on '{}'",
             plan.w, plan.threads, device.name
         ));
-    }
-    let oname = format!("{ordering:?}");
-    if !store.atlas.orderings.iter().any(|o| o == &oname) {
-        return Err(format!("ordering {oname} is not covered by the atlas"));
     }
     let mut tasks_checked = 0usize;
     let mut max_task_blocks = 0usize;
@@ -488,25 +467,20 @@ mod tests {
     use super::*;
     use wsvd_gpu_sim::{V100, VEGA20};
 
-    fn atlas() -> ScheduleAtlas {
-        build_schedule_atlas(16).unwrap()
-    }
-
     #[test]
     fn atlas_counts_every_proof() {
-        let a = atlas();
-        assert_eq!(a.proofs, 3 * 15); // 3 orderings x blocks 2..=16
-        assert_eq!(a.orderings.len(), 3);
-        assert!(a.pairs > 0);
+        let a = build_schedule_atlas(16).unwrap();
+        // One proof per block count 2..=16; exactly-once coverage makes the
+        // pair total the sum of b(b-1)/2 over those counts, i.e. C(17, 3).
+        assert_eq!(a.proofs, 15);
+        assert_eq!(a.pairs, 680);
     }
 
     #[test]
     fn terminal_boundary_is_observation_2() {
-        let a = atlas();
         let ok = certify_claim(
             &PlanClaim::for_device(24, 256, PlanOrigin::Autotuned, &V100),
             &V100,
-            &a,
         )
         .unwrap();
         assert!(ok.terminal);
@@ -517,7 +491,7 @@ mod tests {
         let mut bad = PlanClaim::for_device(25, 256, PlanOrigin::Pinned, &V100);
         assert!(!bad.terminal, "25 > max_w_for_evd(48 KiB) = 24");
         bad.terminal = true;
-        match certify_claim(&bad, &V100, &a) {
+        match certify_claim(&bad, &V100) {
             Err(CertifyError::TerminalOverflow { w, bytes, capacity }) => {
                 assert_eq!((w, bytes, capacity), (25, 50_800, 49_152));
             }
@@ -529,11 +503,9 @@ mod tests {
     fn vega20_terminal_boundary_is_wider() {
         // 64 KiB arena: the boundary moves from w = 24 to w = 28.
         assert_eq!(max_w_for_evd(VEGA20.smem_per_block_bytes), 28);
-        let a = atlas();
         let c = certify_claim(
             &PlanClaim::for_device(28, 256, PlanOrigin::Pinned, &VEGA20),
             &VEGA20,
-            &a,
         )
         .unwrap();
         assert!(c.terminal);
@@ -541,11 +513,10 @@ mod tests {
 
     #[test]
     fn conflicting_custom_schedule_rejected() {
-        let a = atlas();
         let mut claim = PlanClaim::for_device(16, 256, PlanOrigin::Pinned, &V100);
         // Step 1 reuses index 1 in two pairs: a conflict.
         claim.custom_schedule = Some((vec![vec![(0, 1), (1, 2)], vec![(0, 2)]], 3));
-        match certify_claim(&claim, &V100, &a) {
+        match certify_claim(&claim, &V100) {
             Err(CertifyError::Schedule(e)) => assert!(e.contains("custom schedule"), "{e}"),
             other => panic!("expected Schedule rejection, got {other:?}"),
         }
@@ -553,12 +524,11 @@ mod tests {
 
     #[test]
     fn check_level_round_trip() {
-        let a = build_schedule_atlas(32).unwrap();
-        let mut store = CertificateStore::new(a.clone());
+        let mut store = CertificateStore::new(build_schedule_atlas(32).unwrap());
         let mut fams = BTreeMap::new();
         let claim = PlanClaim::for_device(16, 256, PlanOrigin::Autotuned, &V100);
         let key = claim.key;
-        fams.insert(key.id(), certify_claim(&claim, &V100, &a).unwrap());
+        fams.insert(key.id(), certify_claim(&claim, &V100).unwrap());
         store.devices.insert(
             V100.name.to_string(),
             DeviceCertificates {
@@ -568,40 +538,27 @@ mod tests {
             },
         );
         let plan = TailorPlan::new(16, 64, 256);
-        let ok = check_level_with(
-            &store,
-            &V100,
-            &plan,
-            &[(64, 64), (8, 1)],
-            Ordering::RoundRobin,
-        )
-        .unwrap();
+        let ok = check_level_with(&store, &V100, &plan, &[(64, 64), (8, 1)]).unwrap();
         assert_eq!(ok.tasks_checked, 1);
         assert_eq!(ok.max_task_blocks, 4);
 
         // Uncertified family: hard error.
         let other = TailorPlan::new(24, 64, 256);
-        assert!(
-            check_level_with(&store, &V100, &other, &[(64, 64)], Ordering::RoundRobin)
-                .unwrap_err()
-                .contains("not certified")
-        );
+        assert!(check_level_with(&store, &V100, &other, &[(64, 64)])
+            .unwrap_err()
+            .contains("not certified"));
 
         // Block count beyond the proven bound: hard error.
         let big = vec![(2048usize, 2048usize)];
         // w_eff = 16, blocks = 128 > 32.
-        assert!(
-            check_level_with(&store, &V100, &plan, &big, Ordering::RoundRobin)
-                .unwrap_err()
-                .contains("proven up to")
-        );
+        assert!(check_level_with(&store, &V100, &plan, &big)
+            .unwrap_err()
+            .contains("proven up to"));
 
         // Unknown device: hard error.
-        assert!(
-            check_level_with(&store, &VEGA20, &plan, &[(64, 64)], Ordering::RoundRobin)
-                .unwrap_err()
-                .contains("no certificates")
-        );
+        assert!(check_level_with(&store, &VEGA20, &plan, &[(64, 64)])
+            .unwrap_err()
+            .contains("no certificates"));
     }
 
     #[test]

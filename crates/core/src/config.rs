@@ -2,7 +2,6 @@
 
 use wsvd_batched::models::TailorPlan;
 use wsvd_batched::V100_TLP_THRESHOLD;
-use wsvd_jacobi::Ordering;
 
 /// How the per-level tailoring parameters `(w_h, δ_h, T_h)` are chosen.
 #[derive(Clone, Debug)]
@@ -59,8 +58,6 @@ pub struct WCycleConfig {
     pub cache_norms: bool,
     /// Accumulate and return the right singular matrices.
     pub want_v: bool,
-    /// Pair ordering for block-level rotations.
-    pub ordering: Ordering,
     /// QR-precondition very tall inputs (refs. \[5\]/\[42\] of the paper):
     /// when `m >= 3n`, factor `A = Q R` first, run the Jacobi workflow on
     /// the square `R`, and recover `U = Q U_R`. Cuts the per-rotation column
@@ -69,8 +66,8 @@ pub struct WCycleConfig {
     /// Use *dynamic ordering* (Bečka–Okša–Vajteršic, the paper's ref. \[12\]):
     /// each sweep schedules block pairs by descending off-diagonal weight
     /// `||A_i^T A_j||_F / (||A_i||_F ||A_j||_F)` instead of the static
-    /// schedule, attacking the heaviest couplings first. Overrides
-    /// `ordering` at the block level.
+    /// round-robin schedule, attacking the heaviest couplings first. Applies
+    /// at the block level; the SM kernels always sweep round-robin.
     pub dynamic_ordering: bool,
     /// Record each level's launches into a fused
     /// [`wsvd_gpu_sim::LaunchGraph`]: the level pays the driver's launch
@@ -127,7 +124,6 @@ impl Default for WCycleConfig {
             tailor_gemm: true,
             cache_norms: true,
             want_v: true,
-            ordering: Ordering::RoundRobin,
             qr_precondition: false,
             dynamic_ordering: false,
             fused: fused_default(),

@@ -1,11 +1,11 @@
 //! Static pre-launch verification of a W-cycle level (the static-analysis
 //! half of the `wsvd-sanitizer`).
 //!
-//! Given the matrix sizes entering a level, the auto-tuner's [`TailorPlan`]
-//! and the configured pair [`Ordering`], [`verify_level`] *proves* — before
-//! any kernel launches — that
+//! Given the matrix sizes entering a level and the auto-tuner's
+//! [`TailorPlan`], [`verify_level`] *proves* — before any kernel launches —
+//! that
 //!
-//! 1. the ordering's sweep over the level's column blocks is conflict-free
+//! 1. the round-robin sweep over the level's column blocks is conflict-free
 //!    and covers every block pair exactly once ([`wsvd_jacobi::verify`]);
 //! 2. every shared-memory working set the level can select (SM SVD of a
 //!    pair block, SM EVD of its Gram matrix, the tailored-GEMM tile) fits
@@ -20,8 +20,7 @@ use wsvd_batched::gemm::{gemm_smem_requirement, GEMM_SMEM_BYTES};
 use wsvd_batched::models::TailorPlan;
 use wsvd_gpu_sim::SmemRequirement;
 use wsvd_jacobi::fits::{evd_fits_in_sm, evd_smem_elems, svd_fits_in_sm, svd_smem_elems};
-use wsvd_jacobi::ordering::Ordering;
-use wsvd_jacobi::verify::{verify_ordering, ScheduleProof};
+use wsvd_jacobi::verify::{verify_round_robin, ScheduleProof};
 
 /// Everything a level check proved.
 #[derive(Debug)]
@@ -56,7 +55,6 @@ pub fn effective_width(m: usize, n: usize, plan_w: usize, smem_bytes: usize) -> 
 pub fn verify_level(
     sizes: &[(usize, usize)],
     plan: &TailorPlan,
-    ordering: Ordering,
     smem_bytes: usize,
 ) -> Result<LevelCheck, String> {
     let mut requirements: Vec<SmemRequirement> = Vec::new();
@@ -78,10 +76,8 @@ pub fn verify_level(
         if blocks < 2 {
             continue;
         }
-        let proof = verify_ordering(ordering, blocks).map_err(|e| {
-            format!(
-                "task {t} ({m}x{n}, w={w}, {blocks} blocks): {ordering:?} schedule invalid: {e}"
-            )
+        let proof = verify_round_robin(blocks).map_err(|e| {
+            format!("task {t} ({m}x{n}, w={w}, {blocks} blocks): round-robin schedule invalid: {e}")
         })?;
         proofs.push(proof);
 
@@ -160,7 +156,7 @@ mod tests {
     #[test]
     fn clean_level_produces_requirements_and_proofs() {
         let sizes = [(100usize, 100usize), (96, 96)];
-        let check = verify_level(&sizes, &plan(24), Ordering::RoundRobin, SM48K).unwrap();
+        let check = verify_level(&sizes, &plan(24), SM48K).unwrap();
         assert_eq!(check.proofs.len(), 2);
         assert!(check.proofs.iter().all(|p| p.pairs == p.n * (p.n - 1) / 2));
         // 48-column pair blocks go through Gram + EVD, so the EVD and GEMM
@@ -180,7 +176,7 @@ mod tests {
     #[test]
     fn oversized_pairs_are_reported_as_recursing() {
         // 400x400 at w = 48: the 400x96 pair fits neither kernel.
-        let check = verify_level(&[(400, 400)], &plan(48), Ordering::RoundRobin, SM48K).unwrap();
+        let check = verify_level(&[(400, 400)], &plan(48), SM48K).unwrap();
         assert!(check.recursing_shapes > 0);
     }
 
@@ -189,20 +185,20 @@ mod tests {
         // An arena smaller than the 16 KiB GEMM tile: the EVD group can
         // still fit tiny matrices, but the tailored GEMM cannot run.
         let small = GEMM_SMEM_BYTES / 2;
-        let err = verify_level(&[(2000, 16)], &plan(8), Ordering::RoundRobin, small).unwrap_err();
+        let err = verify_level(&[(2000, 16)], &plan(8), small).unwrap_err();
         assert!(err.contains("GEMM tile"), "{err}");
     }
 
     #[test]
     fn single_block_tasks_are_skipped() {
-        let check = verify_level(&[(8, 1), (16, 2)], &plan(8), Ordering::OddEven, SM48K).unwrap();
+        let check = verify_level(&[(8, 1), (16, 2)], &plan(8), SM48K).unwrap();
         // (8,1) contributes nothing; (16,2) pairs its two single columns.
         assert_eq!(check.proofs.len(), 1);
         assert_eq!(check.proofs[0].n, 2);
     }
 
     #[test]
-    fn all_orderings_verify_on_fig7_shapes() {
+    fn round_robin_verifies_on_fig7_shapes() {
         let sizes = [
             (8usize, 32usize),
             (16, 32),
@@ -211,8 +207,6 @@ mod tests {
             (32, 8),
             (96, 96),
         ];
-        for o in Ordering::ALL {
-            verify_level(&sizes, &plan(16), o, SM48K).unwrap_or_else(|e| panic!("{o:?}: {e}"));
-        }
+        verify_level(&sizes, &plan(16), SM48K).unwrap();
     }
 }

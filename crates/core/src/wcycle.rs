@@ -16,7 +16,7 @@
 //! * Sweeps repeat until all column blocks are mutually orthogonal; each
 //!   converged matrix exits the workflow.
 
-use wsvd_batched::autotune::{auto_tune_with_w_cap_traced, TuneTelemetry};
+use wsvd_batched::autotune::auto_tune_with_w_cap_traced;
 use wsvd_batched::gemm::{batched_gram, batched_update, GemmStrategy};
 use wsvd_batched::models::TailorPlan;
 use wsvd_gpu_sim::{Gpu, KernelConfig, KernelError};
@@ -27,6 +27,8 @@ use wsvd_jacobi::block::{
 use wsvd_jacobi::evd::EvdConfig;
 use wsvd_jacobi::fits::{evd_fits_in_sm, svd_fits_in_sm};
 use wsvd_jacobi::onesided::{JacobiSvd, OneSidedConfig};
+use wsvd_jacobi::ordering::round_robin;
+use wsvd_jacobi::verify::verify_schedule;
 use wsvd_linalg::gemm::{dot, matmul};
 use wsvd_linalg::verify::{columns_converged, max_column_coherence, orthonormality_error};
 use wsvd_linalg::Matrix;
@@ -36,7 +38,6 @@ use crate::certify::CertifyMode;
 use crate::config::{AlphaSelect, Tuning, WCycleConfig};
 use crate::stats::{SweepRecord, WCycleStats};
 use crate::verify::{effective_width, verify_level};
-use wsvd_jacobi::verify::{verify_schedule, Coverage};
 
 /// Fixed bounds for the per-matrix `sweeps_to_converge` metrics histogram.
 /// Powers of two up to the practical sweep ceiling keep snapshots comparable
@@ -163,8 +164,6 @@ pub fn wcycle_svd(
             tol: cfg.tol,
             threads_per_pair,
             cache_norms: cfg.cache_norms,
-            accumulate_v: true,
-            ordering: cfg.ordering,
             ..Default::default()
         };
         let t_pre = gpu.elapsed_seconds();
@@ -545,19 +544,18 @@ fn decompose_level(
     }
     let sanitizing = gpu.sanitize_enabled();
     // Ahead-of-time certification: under `CertifyMode::Require` the selected
-    // plan's family must hold a certificate for this device covering the
-    // configured ordering and every task's block count — a miss is a hard
+    // plan's family must hold a certificate for this device covering every
+    // task's block count — a miss is a hard
     // error before any launch. A certified level skips the per-launch
     // `verify_level` re-verification below (the certificate already proves
     // its non-tautological obligations once, for the whole family).
     let certified = match crate::certify::mode() {
         CertifyMode::Require => {
-            let cert = crate::certify::check_level(gpu.device(), &plan, &sizes, cfg.ordering)
-                .map_err(|e| {
-                    KernelError::Other(format!(
-                        "wsvd-analyze: uncertified plan at level {level}: {e}"
-                    ))
-                })?;
+            let cert = crate::certify::check_level(gpu.device(), &plan, &sizes).map_err(|e| {
+                KernelError::Other(format!(
+                    "wsvd-analyze: uncertified plan at level {level}: {e}"
+                ))
+            })?;
             if traced {
                 trace.instant(
                     gpu.trace_pid(),
@@ -580,7 +578,7 @@ fn decompose_level(
     if sanitizing && !certified {
         // Static half of the wsvd-sanitizer: prove the selected plan's
         // schedules and shared-memory working sets sound before any launch.
-        let check = verify_level(&sizes, &plan, cfg.ordering, smem).map_err(|e| {
+        let check = verify_level(&sizes, &plan, smem).map_err(|e| {
             KernelError::Other(format!(
                 "wsvd-sanitizer: static verification failed at level {level}: {e}"
             ))
@@ -645,7 +643,7 @@ fn decompose_level(
                 } else if cfg.dynamic_ordering {
                     dynamic_schedule(&tasks[t], p)
                 } else {
-                    cfg.ordering.schedule(p.len())
+                    round_robin(p.len())
                 }
             })
             .collect();
@@ -657,7 +655,7 @@ fn decompose_level(
                 if sched.is_empty() {
                     continue;
                 }
-                verify_schedule(sched, parts[t].len(), Coverage::ExactlyOnce).map_err(|e| {
+                verify_schedule(sched, parts[t].len()).map_err(|e| {
                     KernelError::Other(format!(
                         "wsvd-sanitizer: dynamic schedule invalid at level {level}, \
                          sweep {round}, task {t}: {e}"
@@ -716,8 +714,6 @@ fn decompose_level(
                     tol: inner_tol,
                     threads_per_pair: cfg.alpha.resolve(m_star),
                     cache_norms: cfg.cache_norms,
-                    accumulate_v: true,
-                    ordering: cfg.ordering,
                     ..Default::default()
                 };
                 let (svds, _) = batched_svd_sm(gpu, &sub, &one_sided, KERNEL_THREADS)?;
@@ -1007,18 +1003,9 @@ fn resolve_plan(
 ) -> TailorPlan {
     let m_star = sizes.iter().map(|&(m, _)| m).max().unwrap_or(8);
     match &cfg.tuning {
-        Tuning::Auto { threshold } => auto_tune_with_w_cap_traced(
-            sizes,
-            *threshold,
-            w_cap,
-            &TuneTelemetry {
-                trace: gpu.trace().clone(),
-                metrics: gpu.metrics().clone(),
-                pid: gpu.trace_pid(),
-                level,
-                now: gpu.elapsed_seconds(),
-            },
-        ),
+        Tuning::Auto { threshold } => {
+            auto_tune_with_w_cap_traced(gpu, level, sizes, *threshold, w_cap)
+        }
         Tuning::Fixed(p) => TailorPlan::new(p.w.min(w_cap), p.delta, p.threads),
         Tuning::Widths(ws) => {
             let w = *ws.get(level - 1).or_else(|| ws.last()).unwrap_or(&8);

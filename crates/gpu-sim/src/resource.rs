@@ -48,32 +48,6 @@ impl Serialize for BarrierDiscipline {
     }
 }
 
-/// Which pair-scheduling family governs a kernel's work decomposition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScheduleFamily {
-    /// No pair schedule (GEMM-style data-parallel kernels).
-    None,
-    /// A statically generated `Ordering` schedule — provable ahead of time
-    /// by `wsvd_jacobi::verify::verify_ordering`.
-    Static,
-    /// A data-dependent schedule (dynamic ordering) — only checkable at
-    /// runtime, per sweep.
-    Dynamic,
-}
-
-impl Serialize for ScheduleFamily {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(
-            match self {
-                ScheduleFamily::None => "none",
-                ScheduleFamily::Static => "static",
-                ScheduleFamily::Dynamic => "dynamic",
-            }
-            .into(),
-        )
-    }
-}
-
 /// Static resource demands of one kernel family.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct KernelResource {
@@ -85,8 +59,6 @@ pub struct KernelResource {
     pub threads_per_block: usize,
     /// Barrier structure claim.
     pub barriers: BarrierDiscipline,
-    /// Pair-schedule family.
-    pub schedule: ScheduleFamily,
 }
 
 /// Why a [`KernelResource`] fails on a device.
@@ -175,7 +147,6 @@ impl KernelResource {
         elems: usize,
         threads_per_block: usize,
         barriers: BarrierDiscipline,
-        schedule: ScheduleFamily,
     ) -> Self {
         let kernel = kernel.into();
         Self {
@@ -183,7 +154,6 @@ impl KernelResource {
             kernel,
             threads_per_block,
             barriers,
-            schedule,
         }
     }
 
@@ -237,13 +207,7 @@ mod tests {
     use crate::device::{ALL_DEVICES, V100, VEGA20};
 
     fn uniform(elems: usize, threads: usize) -> KernelResource {
-        KernelResource::from_elems(
-            "test-kernel",
-            elems,
-            threads,
-            BarrierDiscipline::Uniform,
-            ScheduleFamily::Static,
-        )
+        KernelResource::from_elems("test-kernel", elems, threads, BarrierDiscipline::Uniform)
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! kernels allocate through the capacity-enforced arena, so a predicate that
 //! under-estimates fails loudly in tests rather than silently mis-modelling.
 
-use wsvd_gpu_sim::{BarrierDiscipline, KernelResource, ScheduleFamily};
+use wsvd_gpu_sim::{BarrierDiscipline, KernelResource};
 
 /// `f64` elements needed by the SM one-sided Jacobi SVD kernel on an
 /// `m x n` matrix.
@@ -15,9 +15,9 @@ use wsvd_gpu_sim::{BarrierDiscipline, KernelResource, ScheduleFamily};
 ///   singular matrix `V` (`n*n`, needed because the W-cycle consumes
 ///   `J_ij = V`), and two cached-norm vectors (`2n`).
 /// * Wide (`m < n`): the kernel decomposes `A^T` instead (§IV-B); `J` is
-///   then read off the *converged columns* of `A^T`, so no accumulation
-///   buffer is needed — the footprint is `n*m + m*m + 2m` with the small
-///   `m*m` buffer holding `U` of `A^T` only when requested.
+///   then read off the *converged columns* of `A^T`, so no `n*n` buffer is
+///   needed — the footprint is `n*m + m*m + 2m`, the small `m*m` buffer
+///   accumulating `V` of `A^T` (which is `U` of `A`).
 pub fn svd_smem_elems(m: usize, n: usize) -> usize {
     if m >= n {
         m * n + n * n + 2 * n
@@ -61,16 +61,14 @@ pub fn max_w_for_evd(smem_bytes: usize) -> usize {
 }
 
 /// Resource-IR descriptor for the SM one-sided Jacobi SVD kernel on an
-/// `m x n` matrix: the [`svd_smem_elems`] working set, whole-block uniform
-/// barriers (every lane reaches every `sync_threads`), and a statically
-/// generated pair schedule.
+/// `m x n` matrix: the [`svd_smem_elems`] working set and whole-block
+/// uniform barriers (every lane reaches every `sync_threads`).
 pub fn svd_kernel_resource(m: usize, n: usize, threads: usize) -> KernelResource {
     KernelResource::from_elems(
         format!("sm-svd {m}x{n}"),
         svd_smem_elems(m, n),
         threads,
         BarrierDiscipline::Uniform,
-        ScheduleFamily::Static,
     )
 }
 
@@ -82,7 +80,6 @@ pub fn evd_kernel_resource(s: usize, threads: usize) -> KernelResource {
         evd_smem_elems(s),
         threads,
         BarrierDiscipline::Uniform,
-        ScheduleFamily::Static,
     )
 }
 

@@ -8,14 +8,15 @@
 //!   variants;
 //! * [`evd`] — the two-sided Jacobi EVD kernel (§II-D), both the serialized
 //!   textbook form and the paper's parallel all-element update (§IV-C);
-//! * [`ordering`] — round-robin / odd-even / ring pair schedules;
+//! * [`ordering`] — the round-robin pair schedule every sweep runs;
 //! * [`fits`] — the exact shared-memory footprint predicates that drive
 //!   Algorithm 2's level classification;
 //! * [`batch`] — one-block-per-matrix batched launches;
 //! * [`block`] — the column-block partition, pair gather/scatter and sorted
 //!   factor extraction shared by every block-Jacobi driver;
-//! * [`verify`] — static conflict-freedom and coverage proofs for any pair
-//!   schedule, used by the `wsvd-sanitizer` layer before kernels launch.
+//! * [`verify`] — static conflict-freedom and exactly-once coverage proofs
+//!   of the round-robin schedule (and of any data-dependent sweep), used by
+//!   the `wsvd-sanitizer` layer before kernels launch.
 
 #![warn(missing_docs)]
 
@@ -33,5 +34,4 @@ pub use fits::{
     evd_fits_in_sm, evd_kernel_resource, max_w_for_evd, svd_fits_in_sm, svd_kernel_resource,
 };
 pub use onesided::{svd_in_block, JacobiStats, JacobiSvd, MemSpace, OneSidedConfig, SvdSmemLayout};
-pub use ordering::Ordering;
-pub use verify::{verify_ordering, verify_schedule, Coverage, ScheduleProof, ScheduleViolation};
+pub use verify::{verify_round_robin, verify_schedule, ScheduleProof, ScheduleViolation};

@@ -21,7 +21,7 @@ use wsvd_linalg::gemm::dot;
 use wsvd_linalg::givens::{one_sided_rotation, rotate_columns, rotated_norms};
 use wsvd_linalg::Matrix;
 
-use crate::ordering::Ordering;
+use crate::ordering::round_robin;
 
 /// Shared-memory placement of the one-sided kernel's working set. When the
 /// hazard sanitizer is active, the kernel uses this to attribute each lane's
@@ -29,8 +29,8 @@ use crate::ordering::Ordering;
 pub struct SvdSmemLayout<'a> {
     /// The column-major working matrix (`m x n` elements).
     pub a: &'a SmemBuf,
-    /// The accumulated right factor (`n x n` elements), when SM-resident.
-    pub v: Option<&'a SmemBuf>,
+    /// The accumulated right factor (`n x n` elements).
+    pub v: &'a SmemBuf,
     /// The cached column norms (at least `n` elements).
     pub norms: &'a SmemBuf,
 }
@@ -59,11 +59,6 @@ pub struct OneSidedConfig {
     /// Enable the Eq.-(6) cached-norm update (§IV-B2). When disabled all
     /// three inner products are recomputed per rotation.
     pub cache_norms: bool,
-    /// Accumulate the right singular matrix `V` (the `J_ij` consumed by the
-    /// W-cycle). Costs an `n x n` SM buffer and extra rotation work.
-    pub accumulate_v: bool,
-    /// Pair-ordering schedule.
-    pub ordering: Ordering,
     /// Model a kernel that re-stages the working set from global memory at
     /// every sweep (a kernel that exits per sweep for host-side convergence
     /// checks, like cuSOLVER's `gesvdj`), instead of staying SM-resident.
@@ -77,8 +72,6 @@ impl Default for OneSidedConfig {
             max_sweeps: 60,
             threads_per_pair: 8,
             cache_norms: true,
-            accumulate_v: true,
-            ordering: Ordering::RoundRobin,
             gm_stage_per_sweep: false,
         }
     }
@@ -100,11 +93,11 @@ pub struct JacobiStats {
 }
 
 /// Outcome of running the sweeps: the matrix columns have converged to
-/// `U Σ`; `v` holds the accumulated rotations when requested.
+/// `U Σ`; `v` holds the accumulated rotations.
 #[derive(Debug)]
 pub struct SweepOutcome {
-    /// Accumulated right factor (identity-initialized), if requested.
-    pub v: Option<Matrix>,
+    /// Accumulated right factor (identity-initialized).
+    pub v: Matrix,
     /// Iteration statistics.
     pub stats: JacobiStats,
     /// Maximum coherence observed during each sweep, oldest first (one
@@ -112,25 +105,17 @@ pub struct SweepOutcome {
     pub coherence_per_sweep: Vec<f64>,
 }
 
-/// Runs one-sided Jacobi sweeps on `a` in place (columns converge to `UΣ`).
+/// Runs one-sided Jacobi sweeps on `a` in place (columns converge to `UΣ`)
+/// over the round-robin schedule, accumulating the rotations into `V`.
 ///
 /// This is the shared engine; use [`svd_in_block`] for the full
-/// kernel (transpose handling, factor extraction, SM accounting).
-pub fn one_sided_sweeps(
-    a: &mut Matrix,
-    cfg: &OneSidedConfig,
-    ctx: &mut BlockCtx,
-    space: MemSpace,
-) -> SweepOutcome {
-    one_sided_sweeps_in(a, cfg, ctx, space, None)
-}
-
-/// [`one_sided_sweeps`] with an explicit shared-memory layout so the hazard
-/// sanitizer can check the kernel's barrier structure: each rotation step is
-/// one barrier epoch in which pair-team `t` owns columns `(i_t, j_t)` of the
-/// matrix and of `V` plus their two norm-cache slots; the per-sweep norm
-/// refresh is its own epoch (lane = column). A schedule with overlapping
-/// pairs therefore surfaces as a write–write race on the shared column.
+/// kernel (transpose handling, factor extraction, SM accounting). With a
+/// shared-memory `layout` the hazard sanitizer can check the kernel's
+/// barrier structure: each rotation step is one barrier epoch in which
+/// pair-team `t` owns columns `(i_t, j_t)` of the matrix and of `V` plus
+/// their two norm-cache slots; the per-sweep norm refresh is its own epoch
+/// (lane = column). A schedule with overlapping pairs therefore surfaces as
+/// a write–write race on the shared column.
 pub fn one_sided_sweeps_in(
     a: &mut Matrix,
     cfg: &OneSidedConfig,
@@ -139,11 +124,7 @@ pub fn one_sided_sweeps_in(
     layout: Option<&SvdSmemLayout<'_>>,
 ) -> SweepOutcome {
     let (m, n) = a.shape();
-    let mut v = if cfg.accumulate_v {
-        Some(Matrix::identity(n))
-    } else {
-        None
-    };
+    let mut v = Matrix::identity(n);
     let mut stats = JacobiStats::default();
     if n < 2 {
         stats.converged = true;
@@ -155,7 +136,7 @@ pub fn one_sided_sweeps_in(
     }
     let mut coherence_per_sweep = Vec::new();
 
-    let schedule = cfg.ordering.schedule(n);
+    let schedule = round_robin(n);
     let tpp = cfg.threads_per_pair.max(1);
     let mut norms: Vec<f64> = Vec::new();
 
@@ -173,9 +154,8 @@ pub fn one_sided_sweeps_in(
         if cfg.gm_stage_per_sweep {
             // The working set (matrix + accumulated V) round-trips through
             // global memory once per sweep.
-            let v_elems = if cfg.accumulate_v { n * n } else { 0 };
-            ctx.count_gm_load(m * n + v_elems);
-            ctx.count_gm_store(m * n + v_elems);
+            ctx.count_gm_load(m * n + n * n);
+            ctx.count_gm_store(m * n + n * n);
         }
 
         if cfg.cache_norms {
@@ -219,10 +199,8 @@ pub fn one_sided_sweeps_in(
                     for (t, &(i, j)) in step.iter().enumerate() {
                         ctx.smem_write(t, lay.a, i * m, m);
                         ctx.smem_write(t, lay.a, j * m, m);
-                        if let Some(vb) = lay.v {
-                            ctx.smem_write(t, vb, i * n, n);
-                            ctx.smem_write(t, vb, j * n, n);
-                        }
+                        ctx.smem_write(t, lay.v, i * n, n);
+                        ctx.smem_write(t, lay.v, j * n, n);
                         if cfg.cache_norms {
                             ctx.smem_write(t, lay.norms, i, 1);
                             ctx.smem_write(t, lay.norms, j, 1);
@@ -260,10 +238,8 @@ pub fn one_sided_sweeps_in(
                     let (ci, cj) = a.col_pair_mut(i, j);
                     rotate_columns(rot, ci, cj);
                 }
-                if let Some(v) = v.as_mut() {
-                    let (vi, vj) = v.col_pair_mut(i, j);
-                    rotate_columns(rot, vi, vj);
-                }
+                let (vi, vj) = v.col_pair_mut(i, j);
+                rotate_columns(rot, vi, vj);
                 if cfg.cache_norms {
                     let (nii, njj) = rotated_norms(rot, aii, aij, ajj);
                     norms[i] = nii;
@@ -278,19 +254,15 @@ pub fn one_sided_sweeps_in(
                 ctx.team_step(rotated_pairs, tpp, 1, 20);
                 // Column update (Eq. 3): 6 ops per element pair.
                 ctx.team_step(rotated_pairs, tpp, m, 6);
-                if cfg.accumulate_v {
-                    ctx.team_step(rotated_pairs, tpp, n, 6);
-                }
+                ctx.team_step(rotated_pairs, tpp, n, 6);
                 if cfg.cache_norms {
                     // Eq. (6) norm update: ~12 ops per team.
                     ctx.team_step(rotated_pairs, tpp, 1, 12);
                 }
                 if space == MemSpace::Global {
                     ctx.count_gm_store(rotated_pairs * 2 * m);
-                    if cfg.accumulate_v {
-                        ctx.count_gm_load(rotated_pairs * 2 * n);
-                        ctx.count_gm_store(rotated_pairs * 2 * n);
-                    }
+                    ctx.count_gm_load(rotated_pairs * 2 * n);
+                    ctx.count_gm_store(rotated_pairs * 2 * n);
                 }
             }
             // Barrier between steps: the next step's pairs may touch any
@@ -391,11 +363,7 @@ pub fn svd_in_block(
         // Charge the SM working set: matrix + V accumulation + norm caches.
         let bufs = if space == MemSpace::Shared {
             let a_buf = ctx.gm_load_to_smem(a.as_slice())?;
-            let v_buf = if cfg.accumulate_v {
-                Some(ctx.smem().alloc(n * n)?)
-            } else {
-                None
-            };
+            let v_buf = ctx.smem().alloc(n * n)?;
             let n_buf = ctx.smem().alloc(2 * n)?;
             // Staging barrier: the cooperative GM load completes before any
             // lane reads the SM-resident working set.
@@ -406,15 +374,11 @@ pub fn svd_in_block(
         };
         let layout = bufs.as_ref().map(|(a_buf, v_buf, n_buf)| SvdSmemLayout {
             a: a_buf,
-            v: v_buf.as_ref(),
+            v: v_buf,
             norms: n_buf,
         });
         let mut work = a.clone();
-        let cfg = OneSidedConfig {
-            accumulate_v: true,
-            ..*cfg
-        };
-        let out = one_sided_sweeps_in(&mut work, &cfg, ctx, space, layout.as_ref());
+        let out = one_sided_sweeps_in(&mut work, cfg, ctx, space, layout.as_ref());
         if space == MemSpace::Shared {
             // Write-back barrier, then the cooperative GM store.
             ctx.sync_threads();
@@ -422,7 +386,7 @@ pub fn svd_in_block(
         }
         Ok(extract_factors(
             &work,
-            out.v.expect("accumulate_v forced on"),
+            out.v,
             out.stats,
             out.coherence_per_sweep,
         ))
@@ -441,25 +405,16 @@ pub fn svd_in_block(
         };
         let layout = bufs.as_ref().map(|(a_buf, u_buf, n_buf)| SvdSmemLayout {
             a: a_buf,
-            v: Some(u_buf),
+            v: u_buf,
             norms: n_buf,
         });
         let mut work = at;
-        let cfg_t = OneSidedConfig {
-            accumulate_v: true,
-            ..*cfg
-        };
-        let out = one_sided_sweeps_in(&mut work, &cfg_t, ctx, space, layout.as_ref());
+        let out = one_sided_sweeps_in(&mut work, cfg, ctx, space, layout.as_ref());
         if space == MemSpace::Shared {
             ctx.sync_threads();
             ctx.count_gm_store(n * m + m * m);
         }
-        let t = extract_factors(
-            &work,
-            out.v.expect("accumulate_v forced on"),
-            out.stats,
-            out.coherence_per_sweep,
-        );
+        let t = extract_factors(&work, out.v, out.stats, out.coherence_per_sweep);
         // t.u (n x m) = V of A (thin); t.v (m x m) = U of A.
         let v_full = complete_orthonormal(&t.u, &t.sigma, ctx);
         Ok(JacobiSvd {
@@ -641,7 +596,13 @@ mod tests {
         let kc = KernelConfig::new(1, 128, 0, "sweeps");
         gpu.launch_collect(kc, |_, ctx| {
             let mut w = a.clone();
-            let out = one_sided_sweeps(&mut w, &OneSidedConfig::default(), ctx, MemSpace::Global);
+            let out = one_sided_sweeps_in(
+                &mut w,
+                &OneSidedConfig::default(),
+                ctx,
+                MemSpace::Global,
+                None,
+            );
             assert!(out.stats.converged);
             assert!(max_column_coherence(&w) < 1e-10);
             Ok(())

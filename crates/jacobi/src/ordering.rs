@@ -1,10 +1,10 @@
-//! Pair-ordering schedules for Jacobi sweeps.
+//! The pair schedule of a Jacobi sweep.
 //!
 //! A sweep must orthogonalize every pair `(i, j)` with `i < j` exactly once.
 //! For parallel execution each *step* must consist of disjoint pairs (no
 //! index appears twice), so that all rotations of the step commute and can
-//! run concurrently (§II-B, §IV-C). Three classical schedules are provided:
-//! round-robin (the paper's choice), odd-even, and ring ordering.
+//! run concurrently (§II-B, §IV-C). Every static sweep in the workspace uses
+//! the paper's round-robin tournament schedule.
 
 /// A sweep schedule: `steps[k]` is the set of disjoint pairs of step `k`.
 pub type Schedule = Vec<Vec<(usize, usize)>>;
@@ -36,96 +36,10 @@ pub fn round_robin(n: usize) -> Schedule {
     schedule
 }
 
-/// Odd-even (Brent–Luk) transposition ordering: alternating steps pair the
-/// *current* occupants of adjacent slots, then exchange them, so indices
-/// migrate and every pair meets within `n` steps. This is the classical
-/// systolic ordering; `n` steps form one complete sweep.
-pub fn odd_even(n: usize) -> Schedule {
-    if n < 2 {
-        return vec![];
-    }
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut schedule = Vec::with_capacity(n);
-    for step in 0..n {
-        let start = step % 2;
-        let mut pairs = Vec::with_capacity(n / 2);
-        let mut slot = start;
-        while slot + 1 < n {
-            let (a, b) = (perm[slot], perm[slot + 1]);
-            pairs.push(if a < b { (a, b) } else { (b, a) });
-            perm.swap(slot, slot + 1);
-            slot += 2;
-        }
-        schedule.push(pairs);
-    }
-    schedule
-}
-
-/// Ring ordering (Zhou–Brent): at step `d` (distance), pair each index `i`
-/// with `(i + d) mod n`, keeping only disjoint pairs greedily. Covers every
-/// pair once per sweep for even `n`.
-pub fn ring(n: usize) -> Schedule {
-    if n < 2 {
-        return vec![];
-    }
-    let mut seen = vec![vec![false; n]; n];
-    let mut schedule = Vec::new();
-    // Greedy: repeatedly build maximal disjoint sets of unseen pairs at
-    // increasing distances.
-    let total_pairs = n * (n - 1) / 2;
-    let mut covered = 0;
-    let mut d = 1;
-    while covered < total_pairs {
-        let mut used = vec![false; n];
-        let mut step = Vec::new();
-        for i in 0..n {
-            let j = (i + d) % n;
-            let (a, b) = if i < j { (i, j) } else { (j, i) };
-            if !seen[a][b] && !used[a] && !used[b] {
-                seen[a][b] = true;
-                used[a] = true;
-                used[b] = true;
-                step.push((a, b));
-                covered += 1;
-            }
-        }
-        if !step.is_empty() {
-            schedule.push(step);
-        }
-        d = d % (n - 1) + 1;
-    }
-    schedule
-}
-
 fn push_pair(step: &mut Vec<(usize, usize)>, a: usize, b: usize, n: usize) {
     // Drop pairs involving the phantom index (>= n).
     if a < n && b < n {
         step.push(if a < b { (a, b) } else { (b, a) });
-    }
-}
-
-/// The available pair orderings.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Ordering {
-    /// Round-robin tournament (the paper's default).
-    RoundRobin,
-    /// Odd-even transposition.
-    OddEven,
-    /// Ring ordering.
-    Ring,
-}
-
-impl Ordering {
-    /// Every shipped ordering, for exhaustive verification sweeps.
-    pub const ALL: [Ordering; 3] = [Ordering::RoundRobin, Ordering::OddEven, Ordering::Ring];
-
-    /// Builds the schedule for `n` indices.
-    pub fn schedule(self, n: usize) -> Schedule {
-        match self {
-            Ordering::RoundRobin => round_robin(n),
-            Ordering::OddEven => odd_even(n),
-            Ordering::Ring => ring(n),
-        }
     }
 }
 
@@ -187,46 +101,5 @@ mod tests {
     fn round_robin_degenerate() {
         assert!(round_robin(0).is_empty());
         assert!(round_robin(1).is_empty());
-    }
-
-    #[test]
-    fn odd_even_steps_disjoint_and_cover_all_pairs() {
-        for n in [2usize, 4, 5, 8, 9, 16] {
-            let s = odd_even(n);
-            check_steps_disjoint(&s);
-            assert_eq!(s.len(), n);
-            // Every unordered pair must meet within the sweep (some may
-            // meet more than once for odd n).
-            let mut seen = HashSet::new();
-            for step in &s {
-                for &p in step {
-                    seen.insert(p);
-                }
-            }
-            assert_eq!(seen.len(), n * (n - 1) / 2, "n={n}: missing pairs");
-        }
-    }
-
-    #[test]
-    fn ring_covers_all_pairs() {
-        for n in [4usize, 6, 8, 10] {
-            let s = ring(n);
-            check_covers_all_pairs_once(&s, n);
-            check_steps_disjoint(&s);
-        }
-    }
-
-    #[test]
-    fn ring_odd_n() {
-        let s = ring(7);
-        check_covers_all_pairs_once(&s, 7);
-        check_steps_disjoint(&s);
-    }
-
-    #[test]
-    fn ordering_enum_dispatch() {
-        assert_eq!(Ordering::RoundRobin.schedule(6).len(), 5);
-        assert!(!Ordering::OddEven.schedule(6).is_empty());
-        assert!(!Ordering::Ring.schedule(6).is_empty());
     }
 }

@@ -14,19 +14,7 @@
 
 use std::fmt;
 
-use crate::ordering::{Ordering, Schedule};
-
-/// How thoroughly a sweep must touch the pair set.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Coverage {
-    /// Every unordered pair appears exactly once per sweep (round-robin,
-    /// ring, and odd-even all satisfy this; it is the paper's assumption).
-    #[default]
-    ExactlyOnce,
-    /// Every unordered pair appears at least once per sweep. Convergence
-    /// still holds; duplicated pairs only cost redundant rotations.
-    AtLeastOnce,
-}
+use crate::ordering::{round_robin, Schedule};
 
 /// Everything that can disqualify a schedule.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -55,7 +43,7 @@ pub enum ScheduleViolation {
         /// The uncovered pairs, in lexicographic order.
         pairs: Vec<(usize, usize)>,
     },
-    /// A pair touched more than once under [`Coverage::ExactlyOnce`].
+    /// A pair touched more than once in one sweep.
     Duplicate {
         /// The repeated pair.
         pair: (usize, usize),
@@ -106,13 +94,10 @@ pub struct ScheduleProof {
 
 /// Proves that `schedule` is a valid parallel sweep over `n` indices:
 /// normalized in-range pairs, pairwise-disjoint steps (conflict-freedom),
-/// and full coverage under `coverage`. Returns the first violation found,
-/// with missing-pair reporting last so conflict bugs surface first.
-pub fn verify_schedule(
-    schedule: &Schedule,
-    n: usize,
-    coverage: Coverage,
-) -> Result<ScheduleProof, ScheduleViolation> {
+/// and exactly-once coverage of every unordered pair. Returns the first
+/// violation found, with missing-pair reporting last so conflict bugs
+/// surface first.
+pub fn verify_schedule(schedule: &Schedule, n: usize) -> Result<ScheduleProof, ScheduleViolation> {
     let mut counts = vec![0u32; n * n];
     let mut pairs = 0usize;
     let mut max_step_width = 0usize;
@@ -147,7 +132,7 @@ pub fn verify_schedule(
             let c = counts[i * n + j];
             if c == 0 {
                 missing.push((i, j));
-            } else if c > 1 && coverage == Coverage::ExactlyOnce {
+            } else if c > 1 {
                 return Err(ScheduleViolation::Duplicate {
                     pair: (i, j),
                     count: c as usize,
@@ -166,28 +151,22 @@ pub fn verify_schedule(
     })
 }
 
-/// Verifies a named [`Ordering`] at size `n`. All three shipped orderings
-/// are exactly-once sweeps, so this is `verify_schedule` with
-/// [`Coverage::ExactlyOnce`]; kept as an API so call sites state *which*
-/// ordering they are about to launch.
-pub fn verify_ordering(ordering: Ordering, n: usize) -> Result<ScheduleProof, ScheduleViolation> {
-    verify_schedule(&ordering.schedule(n), n, Coverage::ExactlyOnce)
+/// Proves the round-robin sweep over `n` indices: the one static schedule
+/// every Jacobi kernel and W-cycle level runs.
+pub fn verify_round_robin(n: usize) -> Result<ScheduleProof, ScheduleViolation> {
+    verify_schedule(&round_robin(n), n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ordering::{odd_even, round_robin};
 
     #[test]
-    fn shipped_orderings_prove_clean() {
+    fn round_robin_proves_clean() {
         for n in [2usize, 3, 4, 5, 8, 9, 16, 17, 24, 32] {
-            for o in Ordering::ALL {
-                let proof =
-                    verify_ordering(o, n).unwrap_or_else(|e| panic!("{o:?} n={n} rejected: {e}"));
-                assert_eq!(proof.pairs, n * (n - 1) / 2);
-                assert!(proof.max_step_width <= n / 2);
-            }
+            let proof = verify_round_robin(n).unwrap_or_else(|e| panic!("n={n} rejected: {e}"));
+            assert_eq!(proof.pairs, n * (n - 1) / 2);
+            assert!(proof.max_step_width <= n / 2);
         }
     }
 
@@ -195,7 +174,7 @@ mod tests {
     fn overlapping_step_is_a_conflict() {
         // Pairs (0,1) and (1,2) share column 1: both rotations would write it.
         let s: Schedule = vec![vec![(0, 1), (1, 2)], vec![(0, 2)]];
-        let err = verify_schedule(&s, 3, Coverage::ExactlyOnce).unwrap_err();
+        let err = verify_schedule(&s, 3).unwrap_err();
         match err {
             ScheduleViolation::Conflict { step, index, .. } => {
                 assert_eq!(step, 0);
@@ -209,16 +188,16 @@ mod tests {
     fn missing_pair_detected() {
         let mut s = round_robin(4);
         s.last_mut().unwrap().clear(); // drop a step's pairs
-        let err = verify_schedule(&s, 4, Coverage::ExactlyOnce).unwrap_err();
+        let err = verify_schedule(&s, 4).unwrap_err();
         assert!(matches!(err, ScheduleViolation::Missing { ref pairs } if !pairs.is_empty()));
     }
 
     #[test]
-    fn duplicate_pair_detected_exactly_once_only() {
+    fn duplicate_pair_detected() {
         let mut s = round_robin(4);
         let repeated = s[0][0];
         s.push(vec![repeated]);
-        let err = verify_schedule(&s, 4, Coverage::ExactlyOnce).unwrap_err();
+        let err = verify_schedule(&s, 4).unwrap_err();
         assert_eq!(
             err,
             ScheduleViolation::Duplicate {
@@ -226,20 +205,18 @@ mod tests {
                 count: 2
             }
         );
-        // The same sweep is acceptable under at-least-once coverage.
-        verify_schedule(&s, 4, Coverage::AtLeastOnce).unwrap();
     }
 
     #[test]
     fn unnormalized_and_out_of_range_pairs_rejected() {
         let s: Schedule = vec![vec![(1, 0)]];
         assert!(matches!(
-            verify_schedule(&s, 2, Coverage::AtLeastOnce),
+            verify_schedule(&s, 2),
             Err(ScheduleViolation::Malformed { .. })
         ));
         let s: Schedule = vec![vec![(0, 5)]];
         assert!(matches!(
-            verify_schedule(&s, 3, Coverage::AtLeastOnce),
+            verify_schedule(&s, 3),
             Err(ScheduleViolation::Malformed { .. })
         ));
     }
@@ -247,15 +224,13 @@ mod tests {
     #[test]
     fn violations_render() {
         let s: Schedule = vec![vec![(0, 1), (0, 2)]];
-        let msg = verify_schedule(&s, 3, Coverage::ExactlyOnce)
-            .unwrap_err()
-            .to_string();
+        let msg = verify_schedule(&s, 3).unwrap_err().to_string();
         assert!(msg.contains("index 0"), "{msg}");
     }
 
     #[test]
     fn empty_schedule_for_n_below_two() {
-        let proof = verify_schedule(&odd_even(1), 1, Coverage::ExactlyOnce).unwrap();
+        let proof = verify_schedule(&round_robin(1), 1).unwrap();
         assert_eq!(proof.pairs, 0);
     }
 }

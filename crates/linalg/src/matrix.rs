@@ -169,29 +169,6 @@ impl Matrix {
         }
     }
 
-    /// Copies a pair of equally wide column blocks `[i*w, i*w+w)` and
-    /// `[j*w, j*w+w)` into one `rows x 2w` matrix `A_ij = [A_i, A_j]`.
-    pub fn paired_col_blocks(&self, i: usize, j: usize, w: usize) -> Matrix {
-        assert!(i * w + w <= self.cols && j * w + w <= self.cols);
-        let mut data = Vec::with_capacity(self.rows * 2 * w);
-        data.extend_from_slice(&self.data[i * w * self.rows..(i * w + w) * self.rows]);
-        data.extend_from_slice(&self.data[j * w * self.rows..(j * w + w) * self.rows]);
-        Matrix {
-            rows: self.rows,
-            cols: 2 * w,
-            data,
-        }
-    }
-
-    /// Writes `block` (of width `2w`) back into column blocks `i` and `j`.
-    pub fn store_paired_col_blocks(&mut self, i: usize, j: usize, w: usize, block: &Matrix) {
-        assert_eq!(block.rows, self.rows);
-        assert_eq!(block.cols, 2 * w);
-        let r = self.rows;
-        self.data[i * w * r..(i * w + w) * r].copy_from_slice(&block.data[..w * r]);
-        self.data[j * w * r..(j * w + w) * r].copy_from_slice(&block.data[w * r..]);
-    }
-
     /// Copies the rectangular sub-matrix with top-left `(row, col)`.
     pub fn sub_matrix(&self, row: usize, col: usize, nrows: usize, ncols: usize) -> Matrix {
         assert!(row + nrows <= self.rows && col + ncols <= self.cols);
@@ -386,18 +363,6 @@ mod tests {
         let m = Matrix::from_fn(4, 7, |i, j| (i * 10 + j) as f64);
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose()[(3, 2)], m[(2, 3)]);
-    }
-
-    #[test]
-    fn paired_col_blocks_roundtrip() {
-        let m = Matrix::from_fn(4, 8, |i, j| (i + j * 4) as f64);
-        let blk = m.paired_col_blocks(0, 3, 2);
-        assert_eq!(blk.shape(), (4, 4));
-        assert_eq!(blk.col(0), m.col(0));
-        assert_eq!(blk.col(3), m.col(7));
-        let mut m2 = m.clone();
-        m2.store_paired_col_blocks(0, 3, 2, &blk);
-        assert_eq!(m2, m);
     }
 
     #[test]

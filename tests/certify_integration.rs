@@ -21,7 +21,6 @@ use wcycle_svd::batched::autotune::{auto_tune, V100_TLP_THRESHOLD};
 use wcycle_svd::batched::models::TailorPlan;
 use wcycle_svd::core::certify::{self, CertificateStore, CertifyMode};
 use wcycle_svd::gpu::{Gpu, SanitizeMode, ALL_DEVICES, V100};
-use wcycle_svd::jacobi::ordering::Ordering;
 use wcycle_svd::linalg::generate::random_batch;
 use wcycle_svd::{wcycle_svd, Tuning, WCycleConfig};
 use wsvd_analyze::plan_space::{certify_all_devices, DEFAULT_MAX_BLOCKS};
@@ -62,9 +61,7 @@ proptest! {
                 "plan (w={}, T={}) uncertified on {}",
                 plan.w, plan.threads, device.name
             );
-            let checked = certify::check_level_with(
-                store(), device, &plan, &sizes, Ordering::RoundRobin,
-            );
+            let checked = certify::check_level_with(store(), device, &plan, &sizes);
             prop_assert!(
                 checked.is_ok(),
                 "false rejection on {}: {}",

@@ -150,7 +150,7 @@ fn config_matrix_all_converge() {
             ..Default::default()
         },
         WCycleConfig {
-            ordering: wcycle_svd::jacobi::Ordering::OddEven,
+            dynamic_ordering: true,
             ..Default::default()
         },
     ];

@@ -2,13 +2,13 @@
 //! * any real matrix has a valid W-cycle SVD (orthogonal factors, sorted
 //!   non-negative values, reconstruction);
 //! * the spectrum matches the independent two-stage oracle;
-//! * plane rotations preserve norms; orderings are valid schedules;
+//! * plane rotations preserve norms; round-robin is a valid schedule;
 //!   the SM-footprint predicates match kernel behaviour.
 
 use proptest::prelude::*;
 
 use wcycle_svd::gpu::{Gpu, KernelConfig, V100};
-use wcycle_svd::jacobi::ordering::{odd_even, ring, round_robin};
+use wcycle_svd::jacobi::ordering::round_robin;
 use wcycle_svd::jacobi::{evd_fits_in_sm, svd_fits_in_sm, MemSpace, OneSidedConfig};
 use wcycle_svd::linalg::givens::{one_sided_rotation, rotate_columns, rotated_norms};
 use wcycle_svd::linalg::verify::orthonormality_error;
@@ -92,30 +92,6 @@ proptest! {
     }
 
     #[test]
-    fn ring_is_a_perfect_schedule(n in 2usize..40) {
-        let s = ring(n);
-        let mut seen = std::collections::HashSet::new();
-        for step in &s {
-            let mut used = std::collections::HashSet::new();
-            for &(i, j) in step {
-                prop_assert!(seen.insert((i, j)));
-                prop_assert!(used.insert(i) && used.insert(j));
-            }
-        }
-        prop_assert_eq!(seen.len(), n * (n - 1) / 2);
-    }
-
-    #[test]
-    fn odd_even_steps_are_disjoint(n in 2usize..40) {
-        for step in odd_even(n) {
-            let mut used = std::collections::HashSet::new();
-            for (i, j) in step {
-                prop_assert!(used.insert(i) && used.insert(j));
-            }
-        }
-    }
-
-    #[test]
     fn fits_predicate_never_lies(m in 1usize..200, n in 1usize..80) {
         // Whenever the predicate says the SVD fits, the kernel must run
         // without a shared-memory overflow.
@@ -164,5 +140,52 @@ proptest! {
             }
         }
         prop_assert!(covered.iter().all(|c| c.iter().all(|&x| x)), "rows uncovered");
+    }
+}
+
+/// The converse of `fits_predicate_never_lies`: the SM SVD kernel charges
+/// exactly the predicate's working set to the arena, never less, for tall,
+/// square and wide shapes (including the largest square the arena admits)
+/// on both arena sizes.
+#[test]
+fn sm_svd_arena_charge_equals_predicate() {
+    use wcycle_svd::gpu::VEGA20;
+    use wcycle_svd::jacobi::fits::svd_smem_elems;
+    for device in [V100, VEGA20] {
+        let smem = device.smem_per_block_bytes;
+        let mut s = 2usize;
+        while svd_fits_in_sm(s + 1, s + 1, smem) {
+            s += 1;
+        }
+        for (m, n) in [
+            (5usize, 1usize),
+            (64, 32),
+            (200, 16),
+            (24, 24),
+            (s, s),
+            (16, 60),
+            (3, 40),
+        ] {
+            assert!(svd_fits_in_sm(m, n, smem), "{m}x{n} on {}", device.name);
+            let a = wcycle_svd::linalg::generate::random_uniform(m, n, (m * 97 + n) as u64);
+            let gpu = Gpu::new(device);
+            let kc = KernelConfig::new(1, 128, smem, "arena-charge");
+            let cfg = OneSidedConfig {
+                max_sweeps: 1,
+                ..Default::default()
+            };
+            let (peaks, _) = gpu
+                .launch_collect(kc, |_, ctx| {
+                    wcycle_svd::jacobi::svd_in_block(&a, &cfg, ctx, MemSpace::Shared)?;
+                    Ok(ctx.smem().peak_bytes())
+                })
+                .unwrap();
+            assert_eq!(
+                peaks[0],
+                svd_smem_elems(m, n) * 8,
+                "{m}x{n} on {}",
+                device.name
+            );
+        }
     }
 }

@@ -5,8 +5,7 @@
 
 use wsvd_core::{wcycle_svd, WCycleConfig};
 use wsvd_gpu_sim::{Gpu, HazardKind, KernelConfig, SanitizeMode, V100};
-use wsvd_jacobi::verify::{verify_schedule, Coverage, ScheduleViolation};
-use wsvd_jacobi::Ordering;
+use wsvd_jacobi::verify::{verify_round_robin, verify_schedule, ScheduleViolation};
 use wsvd_linalg::generate::random_batch;
 
 fn sanitized_gpu() -> Gpu {
@@ -145,15 +144,13 @@ fn violations_surface_on_the_trace_sanitizer_track() {
 fn overlapping_pivot_schedule_fails_the_static_checker() {
     // Pairs (0,1) and (1,2) share column 1 within one step.
     let bad = vec![vec![(0, 1), (1, 2)], vec![(0, 2)]];
-    match verify_schedule(&bad, 3, Coverage::ExactlyOnce) {
+    match verify_schedule(&bad, 3) {
         Err(ScheduleViolation::Conflict { index: 1, .. }) => {}
         other => panic!("expected a conflict on column 1, got {other:?}"),
     }
-    // Every shipped ordering passes at every size the W-cycle uses.
+    // The round-robin schedule passes at every size the W-cycle uses.
     for n in 2..=32 {
-        for o in Ordering::ALL {
-            wsvd_jacobi::verify_ordering(o, n).unwrap_or_else(|e| panic!("{o:?} n={n}: {e}"));
-        }
+        verify_round_robin(n).unwrap_or_else(|e| panic!("n={n}: {e}"));
     }
 }
 
@@ -161,13 +158,7 @@ fn overlapping_pivot_schedule_fails_the_static_checker() {
 fn static_level_verification_runs_under_sanitize_and_passes() {
     use wsvd_batched::models::TailorPlan;
     let plan = TailorPlan::new(24, 64, 256);
-    let check = wsvd_core::verify_level(
-        &[(100, 100), (96, 96)],
-        &plan,
-        Ordering::RoundRobin,
-        48 * 1024,
-    )
-    .unwrap();
+    let check = wsvd_core::verify_level(&[(100, 100), (96, 96)], &plan, 48 * 1024).unwrap();
     assert!(!check.proofs.is_empty());
     assert!(check.requirements.iter().all(|r| r.fits(48 * 1024)));
 }
