@@ -32,6 +32,12 @@
 //!   explicit tiebreak where equal keys must resolve deterministically. A
 //!   deliberate partial order carries a
 //!   `// wsvd-lint: allow(no-partial-cmp-sort)` pragma with its reason.
+//! * **`no-fma`** — no fused multiply-add (`mul_add`, `fma`/`fmadd`-family
+//!   intrinsics, an `fma` target feature) in the kernel crates (`linalg`,
+//!   `jacobi`, `batched`): their hot loops are compiled once portable and
+//!   once for AVX2, and both builds must return the same bits. A fused
+//!   multiply-add rounds once where `a * b + c` rounds twice, so it would
+//!   silently split the two builds (and move every pinned result).
 //!
 //! Suppression: `// wsvd-lint: allow(<rule>)` on the finding's line, the
 //! line above it, or within the three lines above the enclosing `fn` header
@@ -67,12 +73,13 @@ impl fmt::Display for Finding {
 }
 
 /// Every rule identifier in the catalog.
-pub const RULES: [&str; 5] = [
+pub const RULES: [&str; 6] = [
     "sink-guard",
     "no-wall-clock",
     "no-hashmap",
     "no-float-eq",
     "no-partial-cmp-sort",
+    "no-fma",
 ];
 
 const SINK_RECEIVERS: [&str; 4] = ["trace", "metrics", "health", "sink"];
@@ -151,6 +158,42 @@ fn float_eq_scope(rel: &str) -> bool {
         "crates/linalg/src/verify.rs",
     ]
     .contains(&rel)
+}
+
+/// Whether `no-fma` applies: the crates whose kernel loops are compiled
+/// twice and must agree bit for bit.
+fn fma_scope(rel: &str) -> bool {
+    [
+        "crates/linalg/src/",
+        "crates/jacobi/src/",
+        "crates/batched/src/",
+    ]
+    .iter()
+    .any(|dir| rel.starts_with(dir))
+        && rel.ends_with(".rs")
+}
+
+/// The fused multiply-add on this line, if any: a `mul_add` call, an
+/// identifier naming an FMA intrinsic (`_mm256_fmadd_pd`, `fmaf64`,
+/// `vfmaq_f64`, ...), or an `fma` target feature. `masked` is the line with
+/// comments and strings blanked; `raw` is the source line.
+fn fused_multiply_add(masked: &str, raw: &str) -> Option<String> {
+    let idents = masked
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|t| !t.is_empty());
+    for t in idents {
+        let x86 = ["_fmadd", "_fmsub", "_fnmadd", "_fnmsub"]
+            .iter()
+            .any(|p| t.contains(p));
+        let scalar_or_arm = ["fmaf", "vfma", "vfms"].iter().any(|p| t.starts_with(p));
+        if t == "mul_add" || t == "fma" || x86 || scalar_or_arm {
+            return Some(format!("`{t}`"));
+        }
+    }
+    if masked.contains("target_feature") && raw.contains("fma") {
+        return Some("an `fma` target feature".to_string());
+    }
+    None
 }
 
 /// Lints one file's source. `rel` is the workspace-relative path (unix
@@ -285,6 +328,27 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
                     message: "float literal compared with == / != in convergence logic; use a \
                               tolerance"
                         .to_string(),
+                });
+            }
+        }
+    }
+
+    if fma_scope(rel) {
+        for (idx, line) in masked_lines.iter().enumerate() {
+            let l = idx + 1;
+            if in_tests(l) || allowed("no-fma", l) {
+                continue;
+            }
+            if let Some(what) = fused_multiply_add(line, raw_lines[idx]) {
+                findings.push(Finding {
+                    rule: "no-fma",
+                    file: rel.to_string(),
+                    line: l,
+                    message: format!(
+                        "fused multiply-add {what} in a twin-compiled kernel crate; it rounds \
+                         once where `a * b + c` rounds twice, so the portable and AVX2 \
+                         builds would return different bits"
+                    ),
                 });
             }
         }
@@ -536,6 +600,41 @@ mod tests {
         assert!(lint_source("crates/jacobi/src/evd.rs", pragma).is_empty());
         // Out of crate sources (root tests, binaries outside src/) stays silent.
         assert!(lint_source("tests/serve_integration.rs", src).is_empty());
+    }
+
+    #[test]
+    fn fma_fires_in_kernel_crates_only() {
+        for src in [
+            "fn f(a: f64, b: f64, c: f64) -> f64 {\n    a.mul_add(b, c)\n}\n",
+            "fn f(a: f64, b: f64, c: f64) -> f64 {\n    f64::mul_add(a, b, c)\n}\n",
+            "unsafe fn f(a: __m256d) -> __m256d {\n    _mm256_fmadd_pd(a, a, a)\n}\n",
+            "unsafe fn f(a: f64) -> f64 {\n    core::intrinsics::fmaf64(a, a, a)\n}\n",
+            "unsafe fn f(a: float64x2_t) -> float64x2_t {\n    vfmaq_f64(a, a, a)\n}\n",
+            "#[target_feature(enable = \"avx2,fma\")]\nunsafe fn f() {}\n",
+        ] {
+            for rel in [
+                "crates/linalg/src/gemm.rs",
+                "crates/jacobi/src/onesided.rs",
+                "crates/batched/src/gemm.rs",
+            ] {
+                let f = lint_source(rel, src);
+                assert_eq!(f.len(), 1, "{rel}: {src}");
+                assert_eq!(f[0].rule, "no-fma");
+            }
+            // Other crates, comments, strings and test regions stay silent.
+            assert!(lint_source("crates/core/src/wcycle.rs", src).is_empty());
+        }
+        for quiet in [
+            "fn f(a: f64, b: f64, c: f64) -> f64 {\n    a * b + c // not mul_add\n}\n",
+            "fn f() -> &'static str {\n    \"mul_add\"\n}\n",
+            "#[target_feature(enable = \"avx2\")]\nunsafe fn no_fma_here() {}\n",
+            "#[cfg(test)]\nmod tests {\n    fn t(a: f64) -> f64 { a.mul_add(a, a) }\n}\n",
+        ] {
+            assert!(
+                lint_source("crates/linalg/src/gemm.rs", quiet).is_empty(),
+                "{quiet}"
+            );
+        }
     }
 
     #[test]

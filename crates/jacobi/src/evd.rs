@@ -16,7 +16,8 @@
 
 use wsvd_gpu_sim::{BlockCtx, KernelError, SmemBuf};
 use wsvd_linalg::givens::{two_sided_rotation, Rotation};
-use wsvd_linalg::Matrix;
+use wsvd_linalg::isa::Isa;
+use wsvd_linalg::{twin_kernel, Matrix};
 
 use crate::ordering::round_robin;
 
@@ -87,6 +88,17 @@ pub fn evd_in_block(
     cfg: &EvdConfig,
     ctx: &mut BlockCtx,
 ) -> Result<JacobiEvd, KernelError> {
+    evd_in_block_on(Isa::detect(), b, cfg, ctx)
+}
+
+/// [`evd_in_block`] with its sweeps on the given build (both builds return
+/// the same bits).
+pub fn evd_in_block_on(
+    isa: Isa,
+    b: &Matrix,
+    cfg: &EvdConfig,
+    ctx: &mut BlockCtx,
+) -> Result<JacobiEvd, KernelError> {
     let (s, s2) = b.shape();
     assert_eq!(s, s2, "EVD requires a square matrix");
     debug_assert!(
@@ -111,18 +123,7 @@ pub fn evd_in_block(
 
     let mut work = b.clone();
     let mut j = Matrix::identity(s);
-    let fro = work.fro_norm().max(f64::MIN_POSITIVE);
-    let mut sweeps = 0;
-    let mut converged = work.off_diag_norm() <= cfg.tol * fro;
-
-    while !converged && sweeps < cfg.max_sweeps {
-        sweeps += 1;
-        match cfg.variant {
-            EvdVariant::Sequential => sequential_sweep(&mut work, &mut j, ctx, &lay),
-            EvdVariant::Parallel => parallel_sweep(&mut work, &mut j, ctx, &lay),
-        }
-        converged = work.off_diag_norm() <= cfg.tol * fro;
-    }
+    let (sweeps, converged) = run_sweeps(isa, &mut work, &mut j, cfg, ctx, &lay);
     // Write-back barrier, then the cooperative GM store.
     ctx.sync_threads();
     ctx.count_gm_store(2 * s * s); // write back Λ diagnostics and J
@@ -145,8 +146,35 @@ pub fn evd_in_block(
     })
 }
 
+twin_kernel! {
+    /// Sweeps `b` towards diagonal form until `off(B) <= tol * ||B||_F` or
+    /// the sweep cap, accumulating the rotations into `j`. Returns the sweeps
+    /// run and whether the tolerance was met.
+    fn run_sweeps(
+        b: &mut Matrix,
+        j: &mut Matrix,
+        cfg: &EvdConfig,
+        ctx: &mut BlockCtx,
+        lay: &EvdSmemLayout<'_>,
+    ) -> (usize, bool) {
+        let fro = b.fro_norm().max(f64::MIN_POSITIVE);
+        let mut sweeps = 0;
+        let mut converged = b.off_diag_norm() <= cfg.tol * fro;
+        while !converged && sweeps < cfg.max_sweeps {
+            sweeps += 1;
+            match cfg.variant {
+                EvdVariant::Sequential => sequential_sweep(b, j, ctx, lay),
+                EvdVariant::Parallel => parallel_sweep(b, j, ctx, lay),
+            }
+            converged = b.off_diag_norm() <= cfg.tol * fro;
+        }
+        (sweeps, converged)
+    }
+}
+
 /// Classic cyclic sweep: one elimination at a time, rows and columns updated
 /// in place. Span: each elimination serializes behind the previous one.
+#[inline(always)]
 fn sequential_sweep(b: &mut Matrix, j: &mut Matrix, ctx: &mut BlockCtx, lay: &EvdSmemLayout<'_>) {
     let s = b.rows();
     for p in 0..s {
@@ -182,18 +210,24 @@ fn sequential_sweep(b: &mut Matrix, j: &mut Matrix, ctx: &mut BlockCtx, lay: &Ev
 /// The paper's parallel sweep: round-robin steps of disjoint pairs; all
 /// rotations of a step are computed from the current `B`, then applied at
 /// once via the `x^T B y` element-wise formula.
+#[inline(always)]
 fn parallel_sweep(b: &mut Matrix, j: &mut Matrix, ctx: &mut BlockCtx, lay: &EvdSmemLayout<'_>) {
     let s = b.rows();
     let schedule = round_robin(s);
+    let mut old = b.clone();
+    let mut rots: Vec<(usize, usize, Rotation)> = Vec::with_capacity(s / 2);
+    let mut partner: Vec<usize> = Vec::with_capacity(s);
+    let mut entries: Vec<(f64, f64)> = Vec::with_capacity(s);
     for step in &schedule {
         if step.is_empty() {
             continue;
         }
         // Compute all rotations of the step concurrently from the current B.
-        let rots: Vec<(usize, usize, Rotation)> = step
-            .iter()
-            .map(|&(p, q)| (p, q, two_sided_rotation(b[(p, p)], b[(p, q)], b[(q, q)])))
-            .collect();
+        rots.clear();
+        rots.extend(
+            step.iter()
+                .map(|&(p, q)| (p, q, two_sided_rotation(b[(p, p)], b[(p, q)], b[(q, q)]))),
+        );
         ctx.team_step(step.len(), 1, 1, 20);
         // Rotation epoch: lane `t` reads its 2x2 pivot block of B and
         // publishes (c, s) into the rotation table.
@@ -207,21 +241,39 @@ fn parallel_sweep(b: &mut Matrix, j: &mut Matrix, ctx: &mut BlockCtx, lay: &EvdS
         }
         ctx.sync_threads();
 
-        // Element-wise B̂ = G^T B G: column map col->(partner, c, s).
-        let mut partner: Vec<usize> = (0..s).collect();
-        let mut cs: Vec<Rotation> = vec![Rotation::IDENTITY; s];
+        // Element-wise B̂ = G^T B G. Column i of G has entry `entries[i].0`
+        // on row i and `entries[i].1` on row `partner[i]` (itself when i is
+        // in no pair of the step).
+        partner.clear();
+        partner.extend(0..s);
+        entries.clear();
+        entries.resize(s, (1.0, 0.0));
         for &(p, q, r) in &rots {
             partner[p] = q;
             partner[q] = p;
-            cs[p] = r;
-            cs[q] = r;
+            entries[p] = givens_col_entries(p, q, r);
+            entries[q] = givens_col_entries(q, p, r);
         }
         // x-vector for row r of G^T and y-vector for column c of G each have
         // at most 2 non-zeros: 6 multiplications + 3 additions per element.
-        let old = b.clone();
+        old.as_mut_slice().copy_from_slice(b.as_slice());
         for col in 0..s {
-            for row in 0..s {
-                b[(row, col)] = combined_element(&old, row, col, &partner, &cs);
+            let (cp, (ya, yb)) = (partner[col], entries[col]);
+            let (old_c, old_cp) = (old.col(col), old.col(cp));
+            for (row, out) in b.col_mut(col).iter_mut().enumerate() {
+                let (rp, (xa, xb)) = (partner[row], entries[row]);
+                // x^T B y over the at-most-2x2 support (Fig. 5).
+                let mut v = xa * ya * old_c[row];
+                if cp != col {
+                    v += xa * yb * old_cp[row];
+                }
+                if rp != row {
+                    v += xb * ya * old_c[rp];
+                    if cp != col {
+                        v += xb * yb * old_cp[rp];
+                    }
+                }
+                *out = v;
             }
         }
         ctx.par_step(s * s, 9);
@@ -266,37 +318,6 @@ fn parallel_sweep(b: &mut Matrix, j: &mut Matrix, ctx: &mut BlockCtx, lay: &EvdS
     }
 }
 
-/// `b̂_rc = (row r of G^T) · B · (column c of G)` with the 2-non-zero
-/// structure of Givens matrices (Fig. 5).
-#[inline]
-fn combined_element(
-    old: &Matrix,
-    row: usize,
-    col: usize,
-    partner: &[usize],
-    cs: &[Rotation],
-) -> f64 {
-    // Row r of G^T = column r of G: entries at (r) and (partner[r]).
-    let (rp, rr) = (partner[row], cs[row]);
-    // x has x[row] = a, x[rp] = b.
-    let (xa, xb) = givens_col_entries(row, rp, rr);
-    let (cp, cr) = (partner[col], cs[col]);
-    let (ya, yb) = givens_col_entries(col, cp, cr);
-
-    // x^T B y over the at-most-2x2 support.
-    let mut v = xa * ya * old[(row, col)];
-    if cp != col {
-        v += xa * yb * old[(row, cp)];
-    }
-    if rp != row {
-        v += xb * ya * old[(rp, col)];
-        if cp != col {
-            v += xb * yb * old[(rp, cp)];
-        }
-    }
-    v
-}
-
 /// Entries of column `i` of the step's combined Givens matrix `G`:
 /// `(G[i, i], G[partner, i])` for the rotation `[[c, -s], [s, c]]` placed on
 /// the (min, max) index pair.
@@ -314,27 +335,22 @@ fn givens_col_entries(i: usize, partner: usize, r: Rotation) -> (f64, f64) {
     }
 }
 
-/// Applies `B <- G^T B G` for a single rotation on rows/cols `(p, q)`.
+/// Applies `B <- G^T B G` for a single rotation on rows/cols `(p, q)`:
+/// first `B <- B G` on the two columns, then `B <- G^T B` on the two rows.
+#[inline(always)]
 fn apply_two_sided(b: &mut Matrix, p: usize, q: usize, r: Rotation) {
+    apply_right_rotation(b, p, q, r);
     let s = b.rows();
     let (c, sn) = (r.c, r.s);
-    // Columns p, q.
-    for i in 0..s {
-        let bip = b[(i, p)];
-        let biq = b[(i, q)];
-        b[(i, p)] = c * bip + sn * biq;
-        b[(i, q)] = -sn * bip + c * biq;
-    }
-    // Rows p, q.
-    for jj in 0..s {
-        let bpj = b[(p, jj)];
-        let bqj = b[(q, jj)];
-        b[(p, jj)] = c * bpj + sn * bqj;
-        b[(q, jj)] = -sn * bpj + c * bqj;
+    for col in b.as_mut_slice().chunks_exact_mut(s) {
+        let (bpj, bqj) = (col[p], col[q]);
+        col[p] = c * bpj + sn * bqj;
+        col[q] = -sn * bpj + c * bqj;
     }
 }
 
 /// Applies `M <- M * G` on columns `(p, q)`.
+#[inline(always)]
 fn apply_right_rotation(m: &mut Matrix, p: usize, q: usize, r: Rotation) {
     let (cp, cq) = m.col_pair_mut(p, q);
     wsvd_linalg::rotate_columns(r, cp, cq);

@@ -17,9 +17,10 @@
 //! caching that avoids two-thirds of the dot products.
 
 use wsvd_gpu_sim::{BlockCtx, KernelError, SmemBuf};
-use wsvd_linalg::gemm::dot;
-use wsvd_linalg::givens::{one_sided_rotation, rotate_columns, rotated_norms};
-use wsvd_linalg::Matrix;
+use wsvd_linalg::gemm::{dot, dot4};
+use wsvd_linalg::givens::{one_sided_rotation, rotate_columns, rotated_norms, Rotation};
+use wsvd_linalg::isa::Isa;
+use wsvd_linalg::{twin_kernel, Matrix};
 
 use crate::ordering::round_robin;
 
@@ -123,163 +124,219 @@ pub fn one_sided_sweeps_in(
     space: MemSpace,
     layout: Option<&SvdSmemLayout<'_>>,
 ) -> SweepOutcome {
-    let (m, n) = a.shape();
-    let mut v = Matrix::identity(n);
-    let mut stats = JacobiStats::default();
-    if n < 2 {
-        stats.converged = true;
-        return SweepOutcome {
-            v,
-            stats,
-            coherence_per_sweep: Vec::new(),
-        };
+    sweeps(Isa::detect(), a, cfg, ctx, space, layout)
+}
+
+/// Fills `out` with `a_p · a_q` for every `(p, q)` of `jobs`, four
+/// independent accumulation chains per pass; each value is bit-identical
+/// to `dot(a.col(p), a.col(q))`.
+#[inline(always)]
+fn col_dots(a: &Matrix, jobs: &[(usize, usize)], out: &mut Vec<f64>) {
+    out.clear();
+    let mut quads = jobs.chunks_exact(4);
+    for q in &mut quads {
+        out.extend(dot4(
+            [a.col(q[0].0), a.col(q[1].0), a.col(q[2].0), a.col(q[3].0)],
+            [a.col(q[0].1), a.col(q[1].1), a.col(q[2].1), a.col(q[3].1)],
+        ));
     }
-    let mut coherence_per_sweep = Vec::new();
+    for &(p, q) in quads.remainder() {
+        out.push(dot(a.col(p), a.col(q)));
+    }
+}
 
-    let schedule = round_robin(n);
-    let tpp = cfg.threads_per_pair.max(1);
-    let mut norms: Vec<f64> = Vec::new();
-
-    // De Rijk deflation: columns whose squared norm falls below
-    // (eps * ||A||_F)^2 are numerically zero — rotating against them only
-    // churns round-off, and their "coherence" is noise. They are skipped by
-    // both the rotations and the convergence measure.
-    let fro2: f64 = (0..n).map(|j| dot(a.col(j), a.col(j))).sum();
-    let deflate_below = fro2 * (f64::EPSILON * f64::EPSILON);
-
-    for _sweep in 0..cfg.max_sweeps {
-        stats.sweeps += 1;
-        let mut max_coherence = 0.0f64;
-
-        if cfg.gm_stage_per_sweep {
-            // The working set (matrix + accumulated V) round-trips through
-            // global memory once per sweep.
-            ctx.count_gm_load(m * n + n * n);
-            ctx.count_gm_store(m * n + n * n);
+twin_kernel! {
+    /// [`one_sided_sweeps_in`] on the given build.
+    ///
+    /// The pairs of a round-robin step touch disjoint columns, so each step
+    /// runs in three phases with the values a pair-at-a-time loop would
+    /// see: (1) every pair's inner products, (2) in pair order, deflation,
+    /// coherence, the rotation and the Eq.-(6) norm update, (3) the column
+    /// rotations of `A` and `V`.
+    fn sweeps(
+        a: &mut Matrix,
+        cfg: &OneSidedConfig,
+        ctx: &mut BlockCtx,
+        space: MemSpace,
+        layout: Option<&SvdSmemLayout<'_>>,
+    ) -> SweepOutcome {
+        let (m, n) = a.shape();
+        let mut v = Matrix::identity(n);
+        let mut stats = JacobiStats::default();
+        if n < 2 {
+            stats.converged = true;
+            return SweepOutcome {
+                v,
+                stats,
+                coherence_per_sweep: Vec::new(),
+            };
         }
+        let mut coherence_per_sweep = Vec::new();
 
-        if cfg.cache_norms {
-            // Refresh the cached norms once per sweep (the cache is updated
-            // analytically by Eq. 6 within the sweep).
-            norms = (0..n).map(|j| dot(a.col(j), a.col(j))).collect();
-            stats.dots_computed += n as u64;
-            ctx.team_reduce(n, tpp, m);
-            if space == MemSpace::Global {
-                ctx.count_gm_load(n * m);
+        let schedule = round_robin(n);
+        let tpp = cfg.threads_per_pair.max(1);
+        let diagonal: Vec<(usize, usize)> = (0..n).map(|j| (j, j)).collect();
+        let mut norms: Vec<f64> = Vec::new();
+        let mut uncached: Vec<(usize, usize)> = Vec::new();
+        let mut dots: Vec<f64> = Vec::new();
+        let mut rots: Vec<(usize, usize, Rotation)> = Vec::new();
+
+        // De Rijk deflation: columns whose squared norm falls below
+        // (eps * ||A||_F)^2 are numerically zero — rotating against them
+        // only churns round-off, and their "coherence" is noise. They are
+        // skipped by both the rotations and the convergence measure.
+        col_dots(a, &diagonal, &mut dots);
+        let fro2: f64 = dots.iter().sum();
+        let deflate_below = fro2 * (f64::EPSILON * f64::EPSILON);
+
+        for _sweep in 0..cfg.max_sweeps {
+            stats.sweeps += 1;
+            let mut max_coherence = 0.0f64;
+
+            if cfg.gm_stage_per_sweep {
+                // The working set (matrix + accumulated V) round-trips
+                // through global memory once per sweep.
+                ctx.count_gm_load(m * n + n * n);
+                ctx.count_gm_store(m * n + n * n);
             }
-            // Refresh epoch: lane j reads column j and writes its norm slot.
-            if ctx.sanitizing() {
-                if let Some(lay) = layout {
-                    for j in 0..n {
-                        ctx.smem_read(j, lay.a, j * m, m);
-                        ctx.smem_write(j, lay.norms, j, 1);
-                    }
+
+            if cfg.cache_norms {
+                // Refresh the cached norms once per sweep (the cache is
+                // updated analytically by Eq. 6 within the sweep).
+                col_dots(a, &diagonal, &mut norms);
+                stats.dots_computed += n as u64;
+                ctx.team_reduce(n, tpp, m);
+                if space == MemSpace::Global {
+                    ctx.count_gm_load(n * m);
                 }
-            }
-            ctx.sync_threads();
-        }
-
-        for step in &schedule {
-            let pairs = step.len();
-            if pairs == 0 {
-                continue;
-            }
-            // Cost: each pair team computes one (cached) or three dots.
-            let dots_per_pair = if cfg.cache_norms { 1 } else { 3 };
-            ctx.team_reduce(pairs * dots_per_pair, tpp, m);
-            if space == MemSpace::Global {
-                ctx.count_gm_load(pairs * 2 * m);
-            }
-
-            // Rotation epoch: pair-team `t` owns its two columns (and their
-            // norm-cache slots) exclusively; conflict-free schedules make
-            // these access sets disjoint across lanes.
-            if ctx.sanitizing() {
-                if let Some(lay) = layout {
-                    for (t, &(i, j)) in step.iter().enumerate() {
-                        ctx.smem_write(t, lay.a, i * m, m);
-                        ctx.smem_write(t, lay.a, j * m, m);
-                        ctx.smem_write(t, lay.v, i * n, n);
-                        ctx.smem_write(t, lay.v, j * n, n);
-                        if cfg.cache_norms {
-                            ctx.smem_write(t, lay.norms, i, 1);
-                            ctx.smem_write(t, lay.norms, j, 1);
+                // Refresh epoch: lane j reads column j and writes its norm slot.
+                if ctx.sanitizing() {
+                    if let Some(lay) = layout {
+                        for j in 0..n {
+                            ctx.smem_read(j, lay.a, j * m, m);
+                            ctx.smem_write(j, lay.norms, j, 1);
                         }
                     }
                 }
+                ctx.sync_threads();
             }
 
-            let mut rotated_pairs = 0usize;
-            for &(i, j) in step {
-                let (aii, ajj) = if cfg.cache_norms {
-                    (norms[i], norms[j])
-                } else {
-                    stats.dots_computed += 2;
-                    (dot(a.col(i), a.col(i)), dot(a.col(j), a.col(j)))
-                };
-                if aii <= deflate_below || ajj <= deflate_below {
-                    continue; // numerically zero column: deflated
-                }
-                let aij = dot(a.col(i), a.col(j));
-                stats.dots_computed += 1;
-                if cfg.cache_norms {
-                    stats.dots_avoided += 2;
-                }
-
-                let denom = (aii * ajj).sqrt();
-                let coherence = if denom > 0.0 { aij.abs() / denom } else { 0.0 };
-                max_coherence = max_coherence.max(coherence);
-                if coherence <= cfg.tol {
+            for step in &schedule {
+                let pairs = step.len();
+                if pairs == 0 {
                     continue;
                 }
+                // Cost: each pair team computes one (cached) or three dots.
+                let dots_per_pair = if cfg.cache_norms { 1 } else { 3 };
+                ctx.team_reduce(pairs * dots_per_pair, tpp, m);
+                if space == MemSpace::Global {
+                    ctx.count_gm_load(pairs * 2 * m);
+                }
 
-                let rot = one_sided_rotation(aii, aij, ajj);
-                {
+                // Rotation epoch: pair-team `t` owns its two columns (and
+                // their norm-cache slots) exclusively; conflict-free
+                // schedules make these access sets disjoint across lanes.
+                if ctx.sanitizing() {
+                    if let Some(lay) = layout {
+                        for (t, &(i, j)) in step.iter().enumerate() {
+                            ctx.smem_write(t, lay.a, i * m, m);
+                            ctx.smem_write(t, lay.a, j * m, m);
+                            ctx.smem_write(t, lay.v, i * n, n);
+                            ctx.smem_write(t, lay.v, j * n, n);
+                            if cfg.cache_norms {
+                                ctx.smem_write(t, lay.norms, i, 1);
+                                ctx.smem_write(t, lay.norms, j, 1);
+                            }
+                        }
+                    }
+                }
+
+                // Phase 1: every pair's `a_i·a_j` (after both norms when
+                // they are not cached). A deflated pair's values go unused.
+                let jobs: &[(usize, usize)] = if cfg.cache_norms {
+                    step
+                } else {
+                    uncached.clear();
+                    uncached.extend(step.iter().flat_map(|&(i, j)| [(i, i), (j, j), (i, j)]));
+                    &uncached
+                };
+                col_dots(a, jobs, &mut dots);
+
+                // Phase 2: rotation parameters, in pair order.
+                rots.clear();
+                for (&(i, j), d) in step.iter().zip(dots.chunks_exact(dots_per_pair)) {
+                    let (aii, ajj, aij) = if cfg.cache_norms {
+                        (norms[i], norms[j], d[0])
+                    } else {
+                        stats.dots_computed += 2;
+                        (d[0], d[1], d[2])
+                    };
+                    if aii <= deflate_below || ajj <= deflate_below {
+                        continue; // numerically zero column: deflated
+                    }
+                    stats.dots_computed += 1;
+                    if cfg.cache_norms {
+                        stats.dots_avoided += 2;
+                    }
+
+                    let denom = (aii * ajj).sqrt();
+                    let coherence = if denom > 0.0 { aij.abs() / denom } else { 0.0 };
+                    max_coherence = max_coherence.max(coherence);
+                    if coherence <= cfg.tol {
+                        continue;
+                    }
+
+                    let rot = one_sided_rotation(aii, aij, ajj);
+                    if cfg.cache_norms {
+                        let (nii, njj) = rotated_norms(rot, aii, aij, ajj);
+                        norms[i] = nii;
+                        norms[j] = njj;
+                    }
+                    rots.push((i, j, rot));
+                }
+
+                // Phase 3: the column rotations of A and V.
+                for &(i, j, rot) in &rots {
                     let (ci, cj) = a.col_pair_mut(i, j);
                     rotate_columns(rot, ci, cj);
+                    let (vi, vj) = v.col_pair_mut(i, j);
+                    rotate_columns(rot, vi, vj);
                 }
-                let (vi, vj) = v.col_pair_mut(i, j);
-                rotate_columns(rot, vi, vj);
-                if cfg.cache_norms {
-                    let (nii, njj) = rotated_norms(rot, aii, aij, ajj);
-                    norms[i] = nii;
-                    norms[j] = njj;
+
+                let rotated_pairs = rots.len();
+                stats.rotations += rotated_pairs as u64;
+                if rotated_pairs > 0 {
+                    // Rotation parameters (Eq. 4): ~20 scalar ops per team.
+                    ctx.team_step(rotated_pairs, tpp, 1, 20);
+                    // Column update (Eq. 3): 6 ops per element pair.
+                    ctx.team_step(rotated_pairs, tpp, m, 6);
+                    ctx.team_step(rotated_pairs, tpp, n, 6);
+                    if cfg.cache_norms {
+                        // Eq. (6) norm update: ~12 ops per team.
+                        ctx.team_step(rotated_pairs, tpp, 1, 12);
+                    }
+                    if space == MemSpace::Global {
+                        ctx.count_gm_store(rotated_pairs * 2 * m);
+                        ctx.count_gm_load(rotated_pairs * 2 * n);
+                        ctx.count_gm_store(rotated_pairs * 2 * n);
+                    }
                 }
-                stats.rotations += 1;
-                rotated_pairs += 1;
+                // Barrier between steps: the next step's pairs may touch
+                // any column this step rotated.
+                ctx.sync_threads();
             }
 
-            if rotated_pairs > 0 {
-                // Rotation parameters (Eq. 4): ~20 scalar ops per team.
-                ctx.team_step(rotated_pairs, tpp, 1, 20);
-                // Column update (Eq. 3): 6 ops per element pair.
-                ctx.team_step(rotated_pairs, tpp, m, 6);
-                ctx.team_step(rotated_pairs, tpp, n, 6);
-                if cfg.cache_norms {
-                    // Eq. (6) norm update: ~12 ops per team.
-                    ctx.team_step(rotated_pairs, tpp, 1, 12);
-                }
-                if space == MemSpace::Global {
-                    ctx.count_gm_store(rotated_pairs * 2 * m);
-                    ctx.count_gm_load(rotated_pairs * 2 * n);
-                    ctx.count_gm_store(rotated_pairs * 2 * n);
-                }
+            coherence_per_sweep.push(max_coherence);
+            if max_coherence <= cfg.tol {
+                stats.converged = true;
+                break;
             }
-            // Barrier between steps: the next step's pairs may touch any
-            // column this step rotated.
-            ctx.sync_threads();
         }
-
-        coherence_per_sweep.push(max_coherence);
-        if max_coherence <= cfg.tol {
-            stats.converged = true;
-            break;
+        SweepOutcome {
+            v,
+            stats,
+            coherence_per_sweep,
         }
-    }
-    SweepOutcome {
-        v,
-        stats,
-        coherence_per_sweep,
     }
 }
 
@@ -358,6 +415,18 @@ pub fn svd_in_block(
     ctx: &mut BlockCtx,
     space: MemSpace,
 ) -> Result<JacobiSvd, KernelError> {
+    svd_in_block_on(Isa::detect(), a, cfg, ctx, space)
+}
+
+/// [`svd_in_block`] with its sweeps on the given build (both builds return
+/// the same bits).
+pub fn svd_in_block_on(
+    isa: Isa,
+    a: &Matrix,
+    cfg: &OneSidedConfig,
+    ctx: &mut BlockCtx,
+    space: MemSpace,
+) -> Result<JacobiSvd, KernelError> {
     let (m, n) = a.shape();
     if m >= n {
         // Charge the SM working set: matrix + V accumulation + norm caches.
@@ -378,7 +447,7 @@ pub fn svd_in_block(
             norms: n_buf,
         });
         let mut work = a.clone();
-        let out = one_sided_sweeps_in(&mut work, cfg, ctx, space, layout.as_ref());
+        let out = sweeps(isa, &mut work, cfg, ctx, space, layout.as_ref());
         if space == MemSpace::Shared {
             // Write-back barrier, then the cooperative GM store.
             ctx.sync_threads();
@@ -409,7 +478,7 @@ pub fn svd_in_block(
             norms: n_buf,
         });
         let mut work = at;
-        let out = one_sided_sweeps_in(&mut work, cfg, ctx, space, layout.as_ref());
+        let out = sweeps(isa, &mut work, cfg, ctx, space, layout.as_ref());
         if space == MemSpace::Shared {
             ctx.sync_threads();
             ctx.count_gm_store(n * m + m * m);

@@ -6,7 +6,9 @@
 //! `C`). The `gram` and `apply_right` helpers are the two GEMM shapes that
 //! dominate the W-cycle workflow (Algorithm 1, lines 5 and 7).
 
+use crate::isa::Isa;
 use crate::matrix::Matrix;
+use crate::twin_kernel;
 
 /// Operation applied to a GEMM operand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,6 +35,21 @@ const KC: usize = 256;
 ///
 /// Panics on dimension mismatch.
 pub fn gemm(alpha: f64, a: &Matrix, op_a: Op, b: &Matrix, op_b: Op, beta: f64, c: &mut Matrix) {
+    gemm_on(Isa::detect(), alpha, a, op_a, b, op_b, beta, c);
+}
+
+/// [`gemm`] on the given build (both builds return the same bits).
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_on(
+    isa: Isa,
+    alpha: f64,
+    a: &Matrix,
+    op_a: Op,
+    b: &Matrix,
+    op_b: Op,
+    beta: f64,
+    c: &mut Matrix,
+) {
     let (m, ka) = op_a.dims(a);
     let (kb, n) = op_b.dims(b);
     assert_eq!(ka, kb, "gemm inner dimensions differ: {ka} vs {kb}");
@@ -61,22 +78,30 @@ pub fn gemm(alpha: f64, a: &Matrix, op_a: Op, b: &Matrix, op_b: Op, beta: f64, c
         }
     };
 
-    for k0 in (0..k).step_by(KC) {
-        let k1 = (k0 + KC).min(k);
-        for j in 0..n {
-            for p in k0..k1 {
-                let b_pj = match op_b {
-                    Op::NoTrans => b[(p, j)],
-                    Op::Trans => b[(j, p)],
-                };
-                if b_pj == 0.0 {
-                    continue;
-                }
-                let s = alpha * b_pj;
-                let a_col = a_ref.col(p);
+    accumulate(isa, alpha, a_ref, b, op_b, c);
+}
+
+twin_kernel! {
+    /// `C += alpha * A * op_b(B)` for column-major `A`, skipping every zero
+    /// `b_pj`; each element of `C` accumulates its terms in `p` order.
+    fn accumulate(alpha: f64, a: &Matrix, b: &Matrix, op_b: Op, c: &mut Matrix) {
+        let (k, n) = op_b.dims(b);
+        for k0 in (0..k).step_by(KC) {
+            let k1 = (k0 + KC).min(k);
+            for j in 0..n {
                 let c_col = c.col_mut(j);
-                for i in 0..m {
-                    c_col[i] += s * a_col[i];
+                for p in k0..k1 {
+                    let b_pj = match op_b {
+                        Op::NoTrans => b[(p, j)],
+                        Op::Trans => b[(j, p)],
+                    };
+                    if b_pj == 0.0 {
+                        continue;
+                    }
+                    let s = alpha * b_pj;
+                    for (ci, &ai) in c_col.iter_mut().zip(a.col(p)) {
+                        *ci += s * ai;
+                    }
                 }
             }
         }
@@ -94,21 +119,38 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 ///
 /// Exploits symmetry: only the upper triangle is computed, then mirrored.
 pub fn gram(a: &Matrix) -> Matrix {
-    let n = a.cols();
-    let mut b = Matrix::zeros(n, n);
-    for j in 0..n {
-        let aj = a.col(j);
-        for i in 0..=j {
-            let ai = a.col(i);
-            let mut s = 0.0;
-            for r in 0..a.rows() {
-                s += ai[r] * aj[r];
-            }
+    gram_on(Isa::detect(), a)
+}
+
+twin_kernel! {
+    /// [`gram`] on the given build (both builds return the same bits).
+    pub fn gram_on(a: &Matrix) -> Matrix {
+        let n = a.cols();
+        let mut b = Matrix::zeros(n, n);
+        let mut put = |i: usize, j: usize, s: f64| {
             b[(i, j)] = s;
             b[(j, i)] = s;
+        };
+        for j in 0..n {
+            let aj = a.col(j);
+            // Four entries of column j per pass, one accumulation chain each.
+            let mut i = 0;
+            while i + 4 <= j + 1 {
+                let s = dot4(
+                    [a.col(i), a.col(i + 1), a.col(i + 2), a.col(i + 3)],
+                    [aj; 4],
+                );
+                for (d, s) in s.into_iter().enumerate() {
+                    put(i + d, j, s);
+                }
+                i += 4;
+            }
+            for i in i..=j {
+                put(i, j, dot(a.col(i), aj));
+            }
         }
+        b
     }
-    b
 }
 
 /// In-place right update `A <- A * J` (second batched GEMM of each level).
@@ -118,13 +160,38 @@ pub fn apply_right(a: &mut Matrix, j: &Matrix) {
     *a = result;
 }
 
-/// Dot product of two equal-length slices.
+/// Dot product of two equal-length slices, accumulated in index order.
+///
+/// Panics if the lengths differ.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    let mut s = 0.0;
-    for i in 0..x.len() {
-        s += x[i] * y[i];
+    assert_eq!(x.len(), y.len(), "dot of slices with different lengths");
+    x.iter().zip(y).fold(0.0, |s, (a, b)| s + a * b)
+}
+
+/// Four dot products `x[d] · y[d]`, each bit-identical to [`dot`]: the four
+/// accumulation chains are interleaved element by element so they overlap
+/// in the pipeline, but each still sums its own terms in index order.
+///
+/// Panics unless all eight slices have the same length.
+#[inline]
+pub fn dot4(x: [&[f64]; 4], y: [&[f64]; 4]) -> [f64; 4] {
+    let [x0, x1, x2, x3] = x;
+    let [y0, y1, y2, y3] = y;
+    let len = x0.len();
+    assert!(
+        [x1, x2, x3, y0, y1, y2, y3].iter().all(|v| v.len() == len),
+        "dot4 of slices with different lengths"
+    );
+    // Re-slicing to `len` lets the compiler drop the per-element bounds checks.
+    let (x0, x1, x2, x3) = (&x0[..len], &x1[..len], &x2[..len], &x3[..len]);
+    let (y0, y1, y2, y3) = (&y0[..len], &y1[..len], &y2[..len], &y3[..len]);
+    let mut s = [0.0; 4];
+    for r in 0..len {
+        s[0] += x0[r] * y0[r];
+        s[1] += x1[r] * y1[r];
+        s[2] += x2[r] * y2[r];
+        s[3] += x3[r] * y3[r];
     }
     s
 }
@@ -226,6 +293,42 @@ mod tests {
     #[test]
     fn dot_basic() {
         assert_eq!(dot(&[1., 2., 3.], &[4., 5., 6.]), 32.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "different lengths")]
+    fn dot_rejects_a_longer_y() {
+        dot(&[1., 2.], &[4., 5., 6.]);
+    }
+
+    #[test]
+    #[should_panic(expected = "different lengths")]
+    fn dot_rejects_a_shorter_y() {
+        dot(&[1., 2., 3.], &[4., 5.]);
+    }
+
+    #[test]
+    fn dot4_matches_dot_bitwise() {
+        let cols: Vec<Vec<f64>> = (0..8)
+            .map(|c| {
+                (0..37)
+                    .map(|r| ((r * 7 + c * 13) % 11) as f64 / 3.0 - 1.7)
+                    .collect()
+            })
+            .collect();
+        let x = [&cols[0][..], &cols[1], &cols[2], &cols[3]];
+        let y = [&cols[4][..], &cols[5], &cols[6], &cols[7]];
+        let got = dot4(x, y);
+        for d in 0..4 {
+            assert_eq!(got[d].to_bits(), dot(x[d], y[d]).to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different lengths")]
+    fn dot4_rejects_mixed_lengths() {
+        let (a, b) = ([1.0; 3], [1.0; 2]);
+        dot4([&a, &a, &a, &a], [&a, &a, &b, &a]);
     }
 
     #[test]

@@ -69,15 +69,20 @@ pub fn two_sided_rotation(bii: f64, bij: f64, bjj: f64) -> Rotation {
 
 /// Applies `(x, y) <- (x, y) * [[c, -s], [s, c]]` to two column vectors:
 /// `x' = c*x + s*y`, `y' = -s*x + c*y` (Eq. 3 with our sign convention).
+///
+/// Panics, before touching either slice, if the lengths differ.
 #[inline]
 pub fn rotate_columns(rot: Rotation, x: &mut [f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
+    assert_eq!(
+        x.len(),
+        y.len(),
+        "rotate_columns of slices with different lengths"
+    );
     let (c, s) = (rot.c, rot.s);
-    for k in 0..x.len() {
-        let xi = x[k];
-        let yi = y[k];
-        x[k] = c * xi + s * yi;
-        y[k] = -s * xi + c * yi;
+    for (xk, yk) in x.iter_mut().zip(y.iter_mut()) {
+        let (xi, yi) = (*xk, *yk);
+        *xk = c * xi + s * yi;
+        *yk = -s * xi + c * yi;
     }
 }
 
@@ -166,6 +171,26 @@ mod tests {
         rotate_columns(r, &mut x2, &mut y2);
         assert!((pred_ii - crate::gemm::dot(&x2, &x2)).abs() < 1e-12);
         assert!((pred_jj - crate::gemm::dot(&y2, &y2)).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "different lengths")]
+    fn rotate_columns_rejects_a_shorter_y() {
+        let mut x = vec![1.0, 2.0, 3.0];
+        let mut y = vec![4.0, 5.0];
+        rotate_columns(one_sided_rotation(2.0, 1.0, 1.0), &mut x, &mut y);
+    }
+
+    #[test]
+    fn rotate_columns_leaves_x_untouched_on_length_mismatch() {
+        let mut x = vec![1.0, 2.0, 3.0];
+        let mut y = vec![4.0, 5.0];
+        let rot = one_sided_rotation(2.0, 1.0, 1.0);
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rotate_columns(rot, &mut x, &mut y)
+        }));
+        assert!(res.is_err());
+        assert_eq!(x, [1.0, 2.0, 3.0]);
     }
 
     #[test]

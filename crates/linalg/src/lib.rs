@@ -14,7 +14,9 @@
 //!   ([`householder`]) plus implicit-shift QR ([`bidiag_svd`]) — the
 //!   MAGMA-style two-stage SVD used both as a baseline and a test oracle;
 //! * seeded workload generators ([`generate`]) and verification helpers
-//!   ([`verify`]).
+//!   ([`verify`]);
+//! * the runtime choice between the portable and AVX2 builds of the hot
+//!   host loops ([`isa`]), which return the same bits.
 
 #![warn(missing_docs)]
 
@@ -24,6 +26,7 @@ pub mod gemm;
 pub mod generate;
 pub mod givens;
 pub mod householder;
+pub mod isa;
 pub mod lowp;
 pub mod matrix;
 pub mod qr;

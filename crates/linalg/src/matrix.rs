@@ -127,6 +127,7 @@ impl Matrix {
     /// Two distinct mutable column slices (for plane rotations).
     ///
     /// Panics if `a == b`.
+    #[inline]
     pub fn col_pair_mut(&mut self, a: usize, b: usize) -> (&mut [f64], &mut [f64]) {
         assert_ne!(a, b, "col_pair_mut requires distinct columns");
         let r = self.rows;
